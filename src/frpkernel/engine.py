@@ -61,10 +61,16 @@ class Store:
 
     def __init__(self):
         self.records: dict[str, Record] = {}
+        # one initial record per absent key read, so each checksum is hashed once
+        self._initial: dict[str, Record] = {}
 
     def read(self, key: str) -> Record:
         rec = self.records.get(key)
-        return rec if rec is not None else Record.initial(key)
+        if rec is None:
+            rec = self._initial.get(key)
+            if rec is None:
+                rec = self._initial[key] = Record.initial(key)
+        return rec
 
     def install(self, key: str, value: int) -> Record:
         version = self.read(key).version + 1
@@ -171,10 +177,21 @@ def zipf_probs(n: int, theta: float) -> np.ndarray:
 
 
 class Engine:
-    """Single-owner engine; one scenario drives it at a time."""
+    """Single-owner engine; one scenario drives it at a time.
+
+    A key is hot when it is among the top `hot_key_count` keys by access
+    count within the current window, ties broken by key. The hot set is
+    updated in O(1) per op as accesses are counted (O(hot_key_count) when
+    its coldest member changes), and resets with the counts at the start
+    of every window.
+    """
 
     def __init__(self, log=None, max_workers: int = 4, hot_key_count: int = 8,
                  lock_overhead: int = 1, abort_cost: int = 4):
+        if max_workers < 1:
+            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
+        if hot_key_count < 0:
+            raise ValueError(f"hot_key_count must be >= 0, got {hot_key_count}")
         self.store = Store()
         self.log = log
         self.max_workers = max_workers
@@ -189,8 +206,10 @@ class Engine:
         self.locks: dict[str, dict[int, str]] = {}      # key -> {txn_id: mode}
         self.waits_for: dict[int, set[int]] = {}
         self.active: dict[int, Txn] = {}
+        # key -> number of active txns holding a buffered write to it
+        self._write_intents: dict[str, int] = {}
         self._begin_seq = 0
-        self.access_counts: dict[str, int] = {}
+        self._reset_access_counts()
 
     # -- transaction lifecycle -------------------------------------------
 
@@ -238,6 +257,7 @@ class Engine:
         if self.log is not None:
             self.log.seal_txn(txn.txn_id)
 
+        self._drop_write_intents(txn)
         self._release_all(txn)
         txn.status = COMMITTED
         self.active.pop(txn.txn_id, None)
@@ -333,16 +353,15 @@ class Engine:
     def _contended(self, txn: Txn, key: str) -> bool:
         if any(t != txn.txn_id for t in self.locks.get(key, {})):
             return True
-        return any(
-            key in other.buffered
-            for t, other in self.active.items()
-            if t != txn.txn_id
-        )
+        own = 1 if key in txn.buffered else 0
+        return self._write_intents.get(key, 0) > own
 
     # -- shared helpers ---------------------------------------------------
 
     def _perform(self, txn: Txn, op: TxnOp) -> None:
         if op.kind == WRITE:
+            if op.key not in txn.buffered:
+                self._write_intents[op.key] = self._write_intents.get(op.key, 0) + 1
             txn.buffered[op.key] = op.write_value
         else:
             if op.key in txn.buffered:
@@ -367,8 +386,18 @@ class Engine:
         txn.locks.clear()
         self.waits_for.pop(txn.txn_id, None)
 
+    def _drop_write_intents(self, txn: Txn) -> None:
+        for key in txn.buffered:
+            left = self._write_intents[key] - 1
+            if left:
+                self._write_intents[key] = left
+            else:
+                del self._write_intents[key]
+
     def _abort(self, txn: Txn, reason: str) -> None:
         self._release_all(txn)
+        if txn.status == ACTIVE:    # a committed txn's intents are already gone
+            self._drop_write_intents(txn)
         txn.buffered.clear()
         txn.status = ABORTED
         txn.abort_reason = reason
@@ -380,8 +409,38 @@ class Engine:
     # -- window simulation --------------------------------------------------
 
     def hot_keys(self) -> set[str]:
-        ranked = sorted(self.access_counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        return {k for k, _ in ranked[: self.hot_key_count]}
+        """The current window's hot set (see the class docstring). The set is
+        the engine's own; callers must not modify it."""
+        return self._hot
+
+    def _reset_access_counts(self) -> None:
+        self.access_counts: dict[str, int] = {}
+        self._hot: set[str] = set()
+        self._coldest_hot: str | None = None    # lowest-ranked member of _hot
+
+    def _coldest(self) -> str | None:
+        counts = self.access_counts
+        return max(self._hot, key=lambda k: (-counts[k], k), default=None)
+
+    def _count_access(self, key: str) -> None:
+        """Bump `key`'s access count and keep the hot set the top
+        `hot_key_count` keys by (-count, key). Only `key` moves up the
+        ranking, so it either is hot already, takes a free slot, or
+        displaces the coldest member."""
+        count = self.access_counts.get(key, 0) + 1
+        self.access_counts[key] = count
+        hot, coldest = self._hot, self._coldest_hot
+        if key in hot:
+            if key == coldest:
+                self._coldest_hot = self._coldest()
+        elif len(hot) < self.hot_key_count:
+            hot.add(key)
+            if coldest is None or (-count, key) > (-self.access_counts[coldest], coldest):
+                self._coldest_hot = key
+        elif coldest is not None and (-count, key) < (-self.access_counts[coldest], coldest):
+            hot.remove(coldest)
+            hot.add(key)
+            self._coldest_hot = self._coldest()
 
     def run_window(self, workload: WorkloadSpec, policy, duration: float) -> ExecStats:
         """Run one fixed-length window; `policy(kind, heat) -> CCAction` picks actions.
@@ -412,7 +471,7 @@ class Engine:
             pending = list(zip(arrivals, self._gen_plans(workload, len(arrivals))))
 
         stats = ExecStats()
-        self.access_counts = {}
+        self._reset_access_counts()
         running: list[Txn] = []
         cooldowns: list[int] = []   # worker slots busy rolling back aborts
 
@@ -456,6 +515,7 @@ class Engine:
         stats.carryover_count += len(pending)
 
         assert self.lock_table_empty(), "locks leaked past window end"
+        assert not self._write_intents, "write intents leaked past window end"
         return stats
 
     def _step_op(self, txn: Txn, policy, stats: ExecStats) -> None:
@@ -467,7 +527,7 @@ class Engine:
         action = policy(op.kind, heat)
         out = self.execute_op(txn, op, action)
         if out.status in (OpStatus.OK, OpStatus.WAITED, OpStatus.CONFLICT_NOTED):
-            self.access_counts[op.key] = self.access_counts.get(op.key, 0) + 1
+            self._count_access(op.key)
             stats.op_count += 1
             if action is CCAction.LOCK_IMMEDIATE:
                 stats.locked_op_count += 1

@@ -264,6 +264,10 @@ def _validate_block(block: str, params: dict) -> None:
         elif block == "cc_sim":
             _positive(params, "window_ticks", "probe_ticks", "wait_max",
                       "contention_max")
+            _require(params["workers"] >= 1, "workers must be >= 1")
+            _require(params["hot_keys"] >= 0, "hot_keys must be >= 0")
+            _require(params["lock_overhead"] >= 0, "lock_overhead must be >= 0")
+            _require(params["abort_cost"] >= 0, "abort_cost must be >= 0")
             _require(params["pop_size"] >= 2, "pop_size must be >= 2")
             _require(params["refine_rounds"] >= 0, "refine_rounds must be >= 0")
             _require(params["cooldown_windows"] >= 0, "cooldown_windows must be >= 0")
@@ -290,6 +294,7 @@ def _validate_block(block: str, params: dict) -> None:
         elif block == "recover_demo":
             _require(params["anchor_every"] >= 1, "anchor_every must be >= 1")
             _require(params["windows"] >= 1, "windows must be >= 1")
+            _require(params["workers"] >= 1, "workers must be >= 1")
             _require(params["tamper_keys"] >= 0, "tamper_keys must be >= 0")
             _check_workload(params["workload"], "workload")
         elif block == "optd":

@@ -1,15 +1,22 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frpkernel.engine import (
     ABORTED,
     ACTIVE,
+    COLD,
     COMMITTED,
+    HOT,
+    READ,
+    WRITE,
     CCAction,
     Engine,
     OpStatus,
     Record,
+    TxnOp,
     WorkloadSpec,
     compute_checksum,
 )
@@ -191,3 +198,134 @@ def test_pending_ops_block_commit():
     eng.execute_op(txn, txn.ops[0], LOCK)
     with pytest.raises(ValueError):
         eng.validate_and_commit(txn)
+
+
+def test_engine_rejects_malformed_parameters():
+    with pytest.raises(ValueError):
+        Engine(max_workers=0)
+    with pytest.raises(ValueError):
+        Engine(hot_key_count=-1)
+    Engine(max_workers=1, hot_key_count=0)
+
+
+def test_store_reads_of_absent_key_share_one_initial_record():
+    eng = Engine()
+    first = eng.store.read("never")
+    assert first == Record.initial("never")
+    assert eng.store.read("never") is first
+    assert "never" not in eng.store.records
+
+
+# -- oracles for the incrementally kept engine state ----------------------------
+
+def reference_hot_keys(access_counts: dict[str, int], hot_key_count: int) -> set[str]:
+    """The hot set by a full sort of the window's access counts."""
+    ranked = sorted(access_counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    return {k for k, _ in ranked[:hot_key_count]}
+
+
+def reference_contended(eng: Engine, txn, key: str) -> bool:
+    """Another txn holds a lock on `key` or buffers a write to it."""
+    if any(t != txn.txn_id for t in eng.locks.get(key, {})):
+        return True
+    return any(key in other.buffered
+               for t, other in eng.active.items() if t != txn.txn_id)
+
+
+def assert_contended_matches_scan(eng: Engine, keys) -> None:
+    for txn in eng.active.values():
+        for key in keys:
+            assert eng._contended(txn, key) == reference_contended(eng, txn, key)
+
+
+# A handful of keys, so counts tie often and hot_key_count can exceed them.
+KEYS = ("a", "b", "c", "d", "e", "f")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hot_key_count=st.integers(0, len(KEYS) + 2),
+    windows=st.lists(st.lists(st.sampled_from(KEYS), max_size=60),
+                     min_size=2, max_size=3),
+)
+def test_hot_set_matches_full_sort_after_every_access(hot_key_count, windows):
+    eng = Engine(hot_key_count=hot_key_count)
+    for accesses in windows:
+        eng._reset_access_counts()
+        assert eng.hot_keys() == set()
+        for key in accesses:
+            eng._count_access(key)
+            assert eng.hot_keys() == reference_hot_keys(eng.access_counts, hot_key_count)
+
+
+class CheckedEngine(Engine):
+    """Checks the hot set and contention against their full scans after
+    every op attempt of a window."""
+
+    def _step_op(self, txn, policy, stats):
+        super()._step_op(txn, policy, stats)
+        assert self.hot_keys() == reference_hot_keys(self.access_counts,
+                                                      self.hot_key_count)
+        assert_contended_matches_scan(self, {op.key for t in self.active.values()
+                                             for op in t.ops})
+
+
+actions = st.sampled_from((CCAction.LOCK_IMMEDIATE, CCAction.OPTIMISTIC_NO_LOCK))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hot_key_count=st.integers(0, 10),
+    workers=st.integers(1, 6),
+    table=st.fixed_dictionaries({(kind, heat): actions
+                                 for kind in (READ, WRITE) for heat in (HOT, COLD)}),
+    key_space=st.integers(1, 12),
+    zipf_theta=st.sampled_from((0.0, 0.8, 1.2)),
+    write_frac=st.sampled_from((0.0, 0.3, 0.8)),
+    seed=st.integers(0, 2**16),
+)
+def test_windows_keep_hot_set_and_contention_exact(hot_key_count, workers, table,
+                                                    key_space, zipf_theta,
+                                                    write_frac, seed):
+    eng = CheckedEngine(max_workers=workers, hot_key_count=hot_key_count)
+    policy = lambda kind, heat: table[(kind, heat)]  # noqa: E731
+    # two windows on one engine: the hot set must restart with the counts
+    for window in range(2):
+        spec = WorkloadSpec(key_space=key_space, zipf_theta=zipf_theta,
+                            write_frac=write_frac, txn_len=3, arrival_rate=3.0,
+                            seed=seed + window)
+        eng.run_window(spec, policy, duration=25)
+
+
+ops = st.lists(st.tuples(st.sampled_from((READ, WRITE)), st.sampled_from(KEYS[:3])),
+               min_size=1, max_size=4)
+steps = st.lists(st.tuples(st.sampled_from(("begin", "step", "abort")),
+                           st.integers(0, 7), actions),
+                 max_size=80)
+
+
+@settings(max_examples=200, deadline=None)
+@given(plans=st.lists(ops, min_size=1, max_size=6), script=steps)
+def test_contended_matches_scan_of_active_buffers(plans, script):
+    eng = Engine()
+    txns = []
+    for step, i, action in script:
+        live = [t for t in txns if t.status == ACTIVE]
+        if step == "begin" or not live:
+            plan = plans[i % len(plans)]
+            txns.append(eng.begin([TxnOp(kind, key, i if kind == WRITE else None)
+                                   for kind, key in plan]))
+        elif step == "step":
+            # a locked attempt may block, or abort a deadlock victim
+            txn = live[i % len(live)]
+            if txn.next_op < len(txn.ops):
+                eng.execute_op(txn, txn.ops[txn.next_op], action)
+            else:
+                eng.validate_and_commit(txn)
+        else:
+            eng.abort(live[i % len(live)])
+        assert_contended_matches_scan(eng, KEYS[:3])
+    for txn in list(eng.active.values()):
+        eng.abort(txn)
+    assert eng.lock_table_empty()
+    assert not eng._write_intents

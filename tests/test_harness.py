@@ -1,4 +1,5 @@
 import threading
+from pathlib import Path
 
 import pytest
 import yaml
@@ -130,6 +131,14 @@ def test_value_range_checks():
         build_scenario_config("optd", {"optd": {"factors": [0.5, 2.0]}})
     with pytest.raises(ConfigError):
         build_scenario_config("cc-sim", {"cc_sim": {"thresholds": {"latency": 1.0}}})
+    for key, value in (("workers", 0), ("hot_keys", -1), ("lock_overhead", -1),
+                       ("abort_cost", -1)):
+        with pytest.raises(ConfigError):
+            build_scenario_config("cc-sim", {"cc_sim": {key: value}})
+    build_scenario_config("cc-sim", {"cc_sim": {"hot_keys": 0, "lock_overhead": 0,
+                                                "abort_cost": 0}})
+    with pytest.raises(ConfigError):
+        build_scenario_config("recover-demo", {"recover_demo": {"workers": 0}})
 
 
 def test_flag_overrides_apply():
@@ -217,6 +226,21 @@ def test_validate_only_runs_nothing(tmp_path, capsys):
     assert main(["optd", "--validate-only", "--out", str(out)]) == 0
     assert capsys.readouterr().out.strip() == "config ok"
     assert not out.exists()
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda p: p.name)
+def test_shipped_config_validates(path, capsys):
+    scenario = yaml.safe_load(path.read_text())["scenario"]
+    assert main([scenario, "--config", str(path), "--validate-only"]) == 0
+    assert capsys.readouterr().out.strip() == "config ok"
+
+
+def test_shipped_optd_config_runs(tmp_path):
+    path = CONFIG_DIR / "optd_chain.yaml"
+    assert main(["optd", "--config", str(path), "--out", str(tmp_path)]) == 0
 
 
 def test_gate_cli_prints_json(tmp_path, capsys):
