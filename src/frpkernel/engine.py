@@ -264,6 +264,8 @@ class Engine:
         return CommitResult(COMMITTED)
 
     def abort(self, txn: Txn, reason: str = "user") -> None:
+        if txn.status != ACTIVE:
+            raise ValueError(f"txn {txn.txn_id} is {txn.status}")
         self._abort(txn, reason)
 
     # -- locked path ------------------------------------------------------

@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 from .engine import INITIAL_VALUE, Record, compute_checksum
 
@@ -34,7 +37,12 @@ class LogCorrupt(LogError):
 
 
 class RecoveryRefused(LogError):
-    """A seal in the replayed range failed to verify; the log itself is suspect."""
+    """Recovery found the log suspect and rebuilt nothing.
+
+    Raised when the log's sequence numbers are out of order, when a seal
+    overlapping the replayed range fails to verify, or when a replayed entry
+    is covered by no valid seal.
+    """
 
 
 class UnknownTxn(LogError):
@@ -109,6 +117,15 @@ class TxnSeal:
         )
 
 
+class _SealIndex(NamedTuple):
+    """What the replay check needs from a log's records, derived in one pass."""
+
+    ordered: bool       # every record's lsn equals its position
+    seals: list         # every TxnSeal, in record order
+    by_first: list      # the non-empty seals by first_lsn, record order on ties
+    reach: list         # reach[j]: the largest last_lsn in by_first[:j + 1]
+
+
 def _check_key(key: str) -> str:
     if "|" in key or "\n" in key or not key:
         raise ValueError(f"illegal key for log: {key!r}")
@@ -128,7 +145,11 @@ class RedoLog:
         self._sealed: set[int] = set()
         self._key_redos: dict[str, list[int]] = {}
         self._key_anchors: dict[str, list[int]] = {}
+        # _seal_index() derives this from `records`; _indexed is what it saw
+        self._indexed: list = []
+        self._index = _SealIndex(True, [], [], [])
         self.last_replay_count = 0
+        self.last_seals_verified = 0
 
     # -- append side --------------------------------------------------------
 
@@ -189,14 +210,35 @@ class RedoLog:
         """True iff lsns are gap-free and every seal in range checks out."""
         if last is None:
             last = len(self.records) - 1
-        for i, rec in enumerate(self.records):
-            if rec.lsn != i:
-                return False
-        for rec in self.records:
-            if isinstance(rec, TxnSeal) and first <= rec.lsn <= last:
+        index = self._seal_index()
+        if not index.ordered:
+            return False
+        for rec in index.seals:
+            if first <= rec.lsn <= last:
                 if not self._seal_ok(rec):
                     return False
         return True
+
+    def _seal_index(self) -> _SealIndex:
+        """The _SealIndex of `records`, rebuilt only when `records` no longer
+        equals the shallow copy taken at the last build. List equality checks
+        identity first, so an unchanged log costs one pass of pointer
+        compares, while any in-memory edit (replace, pop, insert, append)
+        triggers a rebuild."""
+        records = self.records
+        if records != self._indexed:
+            seals = [rec for rec in records if isinstance(rec, TxnSeal)]
+            by_first = sorted((s for s in seals if s.first_lsn >= 0),
+                              key=attrgetter("first_lsn"))
+            reach, top = [], -1
+            for seal in by_first:
+                top = max(top, seal.last_lsn)
+                reach.append(top)
+            self._index = _SealIndex(
+                all(rec.lsn == i for i, rec in enumerate(records)), seals,
+                by_first, reach)
+            self._indexed = list(records)
+        return self._index
 
     def _seal_ok(self, seal: TxnSeal) -> bool:
         if seal.first_lsn >= 0:
@@ -234,35 +276,56 @@ class RedoLog:
         return base, redo_lsns
 
     def recover(self, key: str) -> Record:
+        """Rebuild `key` from its latest anchor plus the redo entries after it.
+
+        Before replaying, recovery checks that every record's lsn equals its
+        position, verifies every non-empty seal whose range overlaps the
+        replayed range [anchor, last redo] in lsn order (also seals of other
+        transactions inside it), and checks that each replayed entry lies in
+        a verified seal; any failure raises RecoveryRefused. The lsn check
+        and the seal lookup read an index built once per log state (see
+        `_seal_index`, one extra pointer per record), so a recovery costs the
+        seals in its range, not the log length. `last_replay_count` and
+        `last_seals_verified` report the replayed entries and verified seals.
+        """
         base, redo_lsns = self.replay_plan(key)
         anchors = self._key_anchors.get(key, [])
         touched = ([anchors[-1]] if anchors else []) + redo_lsns
+        verified = 0
         if touched:
             lo, hi = min(touched), max(touched)
-            self._check_replay_range(lo, hi, touched)
+            verified = self._check_replay_range(lo, hi, touched)
         value, version = base.value, base.version
         for lsn in redo_lsns:
             entry: RedoEntry = self.records[lsn]
             value, version = entry.new_value, entry.mod_index
         self.last_replay_count = len(redo_lsns)
+        self.last_seals_verified = verified
         return Record(key, value, version, compute_checksum(key, value, version))
 
-    def _check_replay_range(self, lo: int, hi: int, touched: list[int]) -> None:
-        for i, rec in enumerate(self.records):
-            if rec.lsn != i:
-                raise RecoveryRefused("log sequence numbers out of order")
+    def _check_replay_range(self, lo: int, hi: int, touched: list[int]) -> int:
+        """Verify the seals overlapping [lo, hi]; return how many were verified."""
+        index = self._seal_index()
+        if not index.ordered:
+            raise RecoveryRefused("log sequence numbers out of order")
+        # seals with first_lsn <= hi form a prefix of by_first; walk it back
+        # while some seal left in it still reaches lo
+        overlapping = []
+        j = bisect_right(index.by_first, hi, key=attrgetter("first_lsn"))
+        while j > 0 and index.reach[j - 1] >= lo:
+            j -= 1
+            if index.by_first[j].last_lsn >= lo:
+                overlapping.append(index.by_first[j])
+        overlapping.sort(key=attrgetter("lsn"))
         covered: set[int] = set()
-        for rec in self.records:
-            if not isinstance(rec, TxnSeal):
-                continue
-            if rec.first_lsn < 0 or rec.last_lsn < lo or rec.first_lsn > hi:
-                continue
+        for rec in overlapping:
             if not self._seal_ok(rec):
                 raise RecoveryRefused(f"seal at lsn {rec.lsn} failed verification")
             covered.update(range(rec.first_lsn, rec.last_lsn + 1))
         missing = [l for l in touched if l not in covered]
         if missing:
             raise RecoveryRefused(f"entries {missing} not covered by any valid seal")
+        return len(overlapping)
 
     # -- file persistence -------------------------------------------------------
 

@@ -200,6 +200,23 @@ def test_pending_ops_block_commit():
         eng.validate_and_commit(txn)
 
 
+def test_abort_rejects_finished_txn():
+    eng = Engine()
+    txn = eng.begin([w("a", 5)])
+    eng.execute_op(txn, txn.ops[0], LOCK)
+    assert eng.validate_and_commit(txn).status == COMMITTED
+    with pytest.raises(ValueError):
+        eng.abort(txn)
+    assert (txn.status, txn.abort_reason) == (COMMITTED, None)
+    assert eng.store.read("a").value == 5
+
+    loser = eng.begin([w("b", 1)])
+    eng.abort(loser)
+    with pytest.raises(ValueError):
+        eng.abort(loser)
+    assert (loser.status, loser.abort_reason) == (ABORTED, "user")
+
+
 def test_engine_rejects_malformed_parameters():
     with pytest.raises(ValueError):
         Engine(max_workers=0)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -282,3 +284,175 @@ def test_replay_bound_holds_for_all_histories(n, writes):
         assert len(redo_lsns) <= n
         rec = log.recover(key)
         assert (rec.value, rec.version) == shadow_replay(log)[key]
+
+
+def test_seals_verified_independent_of_log_prefix():
+    outcomes = []
+    for prefix in (0, 2000):
+        log = make_log(n=4)
+        for i in range(prefix):
+            append_and_seal(log, i + 1, [(f"u{i % 50}", i)])
+        for j in range(6):
+            append_and_seal(log, prefix + 1 + j, [("x", j), ("y", j)])
+        assert log.verify_log()
+        rec = log.recover("x")
+        outcomes.append((rec, log.last_replay_count, log.last_seals_verified))
+    assert outcomes[0] == outcomes[1]
+    # anchor in the 4th txn, then the 5th and 6th txns' redos: three seals
+    assert outcomes[0] == (Record("x", 5, 6, compute_checksum("x", 5, 6)), 2, 3)
+    assert log.recover("never").version == 0 and log.last_seals_verified == 0
+
+
+# -- differential oracle: recovery against the whole-log rescan it replaced ----
+
+def reference_recover(log, key):
+    """`RedoLog.recover` as it was before the seal index: the replay check
+    rescans every record for lsn order and for the seals overlapping the
+    replayed range. Returns (record, replayed entries, seals verified)."""
+    base, redo_lsns = log.replay_plan(key)
+    anchors = log._key_anchors.get(key, [])
+    touched = ([anchors[-1]] if anchors else []) + redo_lsns
+    verified = 0
+    if touched:
+        lo, hi = min(touched), max(touched)
+        for i, rec in enumerate(log.records):
+            if rec.lsn != i:
+                raise RecoveryRefused("log sequence numbers out of order")
+        covered = set()
+        for rec in log.records:
+            if not isinstance(rec, TxnSeal):
+                continue
+            if rec.first_lsn < 0 or rec.last_lsn < lo or rec.first_lsn > hi:
+                continue
+            if not log._seal_ok(rec):
+                raise RecoveryRefused(f"seal at lsn {rec.lsn} failed verification")
+            covered.update(range(rec.first_lsn, rec.last_lsn + 1))
+            verified += 1
+        missing = [l for l in touched if l not in covered]
+        if missing:
+            raise RecoveryRefused(f"entries {missing} not covered by any valid seal")
+    value, version = base.value, base.version
+    for lsn in redo_lsns:
+        entry = log.records[lsn]
+        value, version = entry.new_value, entry.mod_index
+    return (Record(key, value, version, compute_checksum(key, value, version)),
+            len(redo_lsns), verified)
+
+
+def reference_verify_log(log):
+    """`RedoLog.verify_log()` over the whole log, as it was before the seal
+    index."""
+    for i, rec in enumerate(log.records):
+        if rec.lsn != i:
+            return False
+    for rec in log.records:
+        if isinstance(rec, TxnSeal) and not log._seal_ok(rec):
+            return False
+    return True
+
+
+def outcome(fn):
+    try:
+        return ("ok", fn())
+    except Exception as exc:    # the same failure, of any kind, must recur
+        return ("error", type(exc), str(exc))
+
+
+def recovered(log, key):
+    rec = log.recover(key)
+    return rec, log.last_replay_count, log.last_seals_verified
+
+
+ORACLE_KEYS = "abcd"
+# drawn with these weights: after a pop or an lsn rewrite every recovery
+# refuses on lsn order alone, hiding the seal checks behind it
+MUTATIONS = ("value", "value", "value", "range", "swap", "duplicate",
+             "append", "append", "pop", "lsn")
+
+
+def mutate(log, kind, at, other, fresh_txn):
+    records = log.records
+    if kind == "append":
+        append_and_seal(log, fresh_txn, [(ORACLE_KEYS[at % 4], other % 100)])
+        return
+    if not records:
+        return
+    i, j = at % len(records), other % len(records)
+    rec = records[i]
+    if kind == "value":
+        if isinstance(rec, RedoEntry):
+            records[i] = dataclasses.replace(rec, new_value=rec.new_value + 1)
+        elif isinstance(rec, AnchorEntry):
+            records[i] = dataclasses.replace(rec, full_value=rec.full_value + 1)
+        else:
+            records[i] = dataclasses.replace(rec, digest=rec.digest[::-1])
+    elif kind == "range":
+        seals = [k for k, r in enumerate(records) if isinstance(r, TxnSeal)]
+        if not seals:
+            return
+        k = seals[at % len(seals)]
+        s = records[k]
+        ranges = [(s.first_lsn - 1, s.last_lsn), (s.first_lsn, s.last_lsn + 1),
+                  (-1, -1), (0, len(records) - 1), (s.last_lsn, s.first_lsn),
+                  (j, j)]
+        first, last = ranges[other % len(ranges)]
+        records[k] = dataclasses.replace(s, first_lsn=first, last_lsn=last)
+    elif kind == "pop":
+        records.pop(i)
+    elif kind == "swap":    # renumbered, so lsn order still holds
+        records[i], records[j] = (dataclasses.replace(records[j], lsn=i),
+                                  dataclasses.replace(rec, lsn=j))
+    elif kind == "duplicate":
+        records[i] = dataclasses.replace(records[j], lsn=i)
+    elif kind == "lsn":
+        records[i] = dataclasses.replace(rec, lsn=rec.lsn + 1 + other % 3)
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 4]),
+    events=st.lists(
+        st.one_of(
+            st.tuples(st.just("txn"),
+                      st.lists(st.tuples(st.sampled_from(ORACLE_KEYS),
+                                         st.integers(0, 99)), max_size=3)),
+            st.tuples(st.just("seal"), st.integers(0, 7)),
+        ),
+        min_size=12, max_size=40,
+    ),
+    seal_rest=st.booleans(),
+    rounds=st.lists(
+        st.lists(st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 10**6),
+                           st.integers(0, 10**6)), max_size=2),
+        min_size=1, max_size=4,
+    ),
+)
+def test_recover_matches_whole_log_rescan(n, events, seal_rest, rounds):
+    """Recovery on the seal index agrees with the whole-log rescan on
+    interleaved, partly unsealed logs tampered in memory between
+    recoveries: the same record, replay count and seals verified, or the
+    same refusal message."""
+    log = make_log(n=n)
+    pending, txn_id = [], 0
+    for kind, arg in events:
+        if kind == "txn":
+            txn_id += 1
+            log.register_txn(txn_id)
+            for key, value in arg:
+                log.append_redo(txn_id, key, value)
+            pending.append(txn_id)
+        elif pending:   # seals may trail later txns' entries
+            log.seal_txn(pending.pop(arg % len(pending)))
+    if seal_rest:
+        for tid in pending:
+            log.seal_txn(tid)
+
+    keys = list(ORACLE_KEYS) + ["ghost"]
+    for mutations in rounds + [[]]:
+        for key in keys:
+            assert outcome(lambda: recovered(log, key)) == \
+                outcome(lambda: reference_recover(log, key))
+        assert outcome(log.verify_log) == outcome(lambda: reference_verify_log(log))
+        for kind, at, other in mutations:
+            txn_id += 1
+            mutate(log, kind, at, other, txn_id)
