@@ -1,7 +1,8 @@
 """Candidate plan generation by cardinality mutation, plus online selection.
 
 A toy cost-based optimizer enumerates bushy join trees by dynamic programming
-over relation subsets. Instead of hint sets, plan diversity comes from
+over relation subsets, each a bitmask over the sorted relation names (bit i
+is the i-th name). Instead of hint sets, plan diversity comes from
 re-running that optimizer under multiplicatively perturbed cardinality
 estimates; the unmutated base plan is always kept. An upper-confidence bandit
 then picks among the candidates per query template and learns from observed
@@ -11,6 +12,10 @@ Cost model per node (cards taken from whichever estimate view is in force):
 scan costs its row count; a hash join costs 1.5 * (left + right) + output,
 and a nested-loop join costs left + left * right + output. Plan cost is the
 sum over all nodes, so it is C_out-like with per-algorithm input terms.
+A subset's card is the product of its rows in sorted-relation order, then of
+the selectivities of the query edges inside it in sorted-edge order. That
+order is fixed, so costs are bit-identical across processes whatever the
+string hash seed.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from . import rng as rnglib
 
@@ -95,12 +99,20 @@ class Join:
     left: "Scan | Join"
     right: "Scan | Join"
     algo: str
+    # derived once at construction; equality, hash and repr ignore them
+    _key: str = field(init=False, compare=False, repr=False)
+    _leaves: frozenset = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_key",
+                           f"({self.left.key()} {self.algo} {self.right.key()})")
+        object.__setattr__(self, "_leaves", self.left.leaves() | self.right.leaves())
 
     def key(self) -> str:
-        return f"({self.left.key()} {self.algo} {self.right.key()})"
+        return self._key
 
     def leaves(self) -> frozenset:
-        return self.left.leaves() | self.right.leaves()
+        return self._leaves
 
 
 PlanTree = Scan | Join
@@ -116,17 +128,8 @@ class CardinalityVector:
     sels: tuple[float, ...]
 
     def __post_init__(self):
-        if any(v <= 0 for v in self.rows + self.sels):
+        if not all(v > 0 for v in self.rows + self.sels):
             raise ValueError("cardinality entries must be positive")
-
-    def row_of(self, rel: str) -> float:
-        return self.rows[self.rels.index(rel)]
-
-    def sel_of(self, a: str, b: str) -> float:
-        key = edge_key(a, b)
-        if key in self.edges:
-            return self.sels[self.edges.index(key)]
-        return 1.0
 
     def values(self) -> tuple[float, ...]:
         return self.rows + self.sels
@@ -175,31 +178,60 @@ def mutate_cards(cards: CardinalityVector, grid: MutationGrid, gen) -> Cardinali
 
 # -- costing ---------------------------------------------------------------
 
-def plan_card(plan: PlanTree, view: CardinalityVector) -> float:
-    if isinstance(plan, Scan):
-        return view.row_of(plan.relation)
+def _bitmask_view(rels: list[str], view: CardinalityVector):
+    """A bit per relation of the sorted `rels`, their (bit, row) pairs, and
+    the view's `edge_key`-form edges among them as (bit pair, sel) in
+    sorted-edge order; a repeated edge keeps its first sel."""
+    bits = {rel: 1 << i for i, rel in enumerate(rels)}
+    rows_of = dict(zip(view.rels, view.rows))
+    missing = [rel for rel in rels if rel not in rows_of]
+    if missing:
+        raise ValueError(f"view has no rows for {missing}")
+    sels = {}
+    for (a, b), sel in zip(view.edges, view.sels):
+        if a < b and a in bits and b in bits:
+            sels.setdefault((a, b), sel)
+    return (bits, [(bits[rel], rows_of[rel]) for rel in rels],
+            [(bits[a] | bits[b], sels[a, b]) for a, b in sorted(sels)])
+
+
+def _card(mask: int, rows: list[tuple[int, float]],
+          edges: list[tuple[int, float]]) -> float:
+    """Output card of a relation subset: its rows, then the sels of the edges
+    inside it, each in list order."""
     card = 1.0
-    for rel in plan.leaves():
-        card *= view.row_of(rel)
-    rels = sorted(plan.leaves())
-    for a, b in combinations(rels, 2):
-        card *= view.sel_of(a, b)
+    for bit, row in rows:
+        if mask & bit:
+            card *= row
+    for pair, sel in edges:
+        if mask & pair == pair:
+            card *= sel
     return card
 
 
 def plan_cost(plan: PlanTree, view: CardinalityVector) -> float:
-    if isinstance(plan, Scan):
-        return view.row_of(plan.relation)
-    lc = plan_card(plan.left, view)
-    rc = plan_card(plan.right, view)
-    out = plan_card(plan, view)
-    if plan.algo == HASH_JOIN:
-        here = HASH_INPUT_FACTOR * (lc + rc) + out
-    elif plan.algo == NESTED_LOOP:
-        here = lc + lc * rc + out
-    else:
-        raise ValueError(f"unknown join algorithm {plan.algo!r}")
-    return plan_cost(plan.left, view) + plan_cost(plan.right, view) + here
+    """Sum of node costs, each node's card taken by `_card` over its leaves."""
+    bits, rows, edges = _bitmask_view(sorted(plan.leaves()), view)
+
+    def walk(node) -> tuple[int, float, float]:
+        """(subset mask, output card, cost) of the subtree, bottom-up."""
+        if isinstance(node, Scan):
+            mask = bits[node.relation]
+            card = _card(mask, rows, edges)
+            return mask, card, card
+        lmask, lc, lcost = walk(node.left)
+        rmask, rc, rcost = walk(node.right)
+        mask = lmask | rmask
+        out = _card(mask, rows, edges)
+        if node.algo == HASH_JOIN:
+            here = HASH_INPUT_FACTOR * (lc + rc) + out
+        elif node.algo == NESTED_LOOP:
+            here = lc + lc * rc + out
+        else:
+            raise ValueError(f"unknown join algorithm {node.algo!r}")
+        return mask, out, lcost + rcost + here
+
+    return walk(plan)[2]
 
 
 def true_cost(plan: PlanTree, catalog: Catalog) -> float:
@@ -226,8 +258,13 @@ def optimize_base(query: Query, catalog: Catalog,
                   view: CardinalityVector | None = None) -> PlanTree:
     """Bushy dynamic-programming join enumeration under an estimate view.
 
-    Considers every split of every relation subset with both join algorithms;
-    cost ties break on the canonical plan string, so results are stable.
+    Subsets are bitmasks over the sorted relations, visited in ascending
+    order so that every proper submask is solved first. Each subset tries
+    every split into two sides with both join algorithms and both input
+    orders: O(3^n) split work, for at most 8 relations. The result is the
+    argmin of (cost, canonical plan string). Candidates get a key string
+    only on an exact cost tie, each subset's winner gets one, and the tree
+    is built once, from the winning splits.
     """
     if len(query.relations) > 8:
         raise ValueError("queries beyond 8 relations are out of scope")
@@ -236,45 +273,61 @@ def optimize_base(query: Query, catalog: Catalog,
     rels = sorted(query.relations)
     if not rels:
         raise ValueError("empty query")
+    _, rows, edges = _bitmask_view(rels, view)
+    full = (1 << len(rels)) - 1
+    # per mask: output card, best cost, winning left side, algorithm, key
+    card = [_card(mask, rows, edges) for mask in range(full + 1)]
+    cost = card[:]                      # a single relation costs its scan
+    split = [0] * (full + 1)
+    algo = [HASH_JOIN] * (full + 1)
+    keys = [""] * (full + 1)
+    for i, rel in enumerate(rels):
+        keys[1 << i] = rel
 
-    def subset_card(subset) -> float:
-        card = 1.0
-        for rel in subset:
-            card *= view.row_of(rel)
-        for a, b in combinations(sorted(subset), 2):
-            card *= view.sel_of(a, b)
-        return card
+    for mask in range(3, full + 1):
+        if not mask & (mask - 1):
+            continue
+        out = card[mask]
+        # each split once, enumerated as the submasks `sub` of `rest`; the
+        # side holding the lowest bit goes left or right, and a hash join
+        # costs the same both ways round
+        low = mask & -mask
+        rest = mask ^ low
+        best, ties = math.inf, []
+        sub = (rest - 1) & rest
+        while True:
+            left = sub | low
+            right = rest ^ sub
+            lc, rc = card[left], card[right]
+            base = cost[left] + cost[right]
+            c = base + (HASH_INPUT_FACTOR * (lc + rc) + out)
+            if c <= best:
+                if c < best:
+                    best, ties = c, []
+                ties += ((left, HASH_JOIN), (right, HASH_JOIN))
+            c = base + (lc + lc * rc + out)
+            if c <= best:
+                if c < best:
+                    best, ties = c, []
+                ties.append((left, NESTED_LOOP))
+            c = base + (rc + rc * lc + out)
+            if c <= best:
+                if c < best:
+                    best, ties = c, []
+                ties.append((right, NESTED_LOOP))
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+        cost[mask] = best
+        keys[mask], split[mask], algo[mask] = min(
+            (f"({keys[l]} {a} {keys[mask ^ l]})", l, a) for l, a in ties)
 
-    # per subset: (best cost, canonical key, plan, output card)
-    best: dict[frozenset, tuple[float, str, PlanTree, float]] = {}
-    for rel in rels:
-        plan = Scan(rel)
-        best[frozenset([rel])] = (view.row_of(rel), plan.key(), plan, view.row_of(rel))
+    def build(mask: int) -> PlanTree:
+        if not mask & (mask - 1):
+            return Scan(rels[mask.bit_length() - 1])
+        return Join(build(split[mask]), build(mask ^ split[mask]), algo[mask])
 
-    for size in range(2, len(rels) + 1):
-        for subset in combinations(rels, size):
-            sset = frozenset(subset)
-            out = subset_card(sset)
-            entry = None
-            for left_size in range(1, size):
-                for left in combinations(subset, left_size):
-                    lset = frozenset(left)
-                    lcost, _, lplan, lcard = best[lset]
-                    rcost, _, rplan, rcard = best[sset - lset]
-                    for algo in (HASH_JOIN, NESTED_LOOP):
-                        if algo == HASH_JOIN:
-                            here = HASH_INPUT_FACTOR * (lcard + rcard) + out
-                        else:
-                            here = lcard + lcard * rcard + out
-                        cost = lcost + rcost + here
-                        if entry is not None and cost > entry[0]:
-                            continue
-                        plan = Join(lplan, rplan, algo)
-                        cand = (cost, plan.key(), plan, out)
-                        if entry is None or cand[:2] < entry[:2]:
-                            entry = cand
-            best[sset] = entry
-    return best[frozenset(rels)][2]
+    return build(full)
 
 
 def gen_candidates(query: Query, catalog: Catalog, n_plans: int,
@@ -344,16 +397,3 @@ def feedback(template_id: str, plan: PlanTree, observed_latency: float,
     row.pulls += 1
     row.mean_latency += (observed_latency - row.mean_latency) / row.pulls
     return state
-
-
-class UcbSelector:
-    """Default pluggable selector: choose/observe around a SelectorState."""
-
-    def __init__(self, explore_weight: float = 2.0):
-        self.state = SelectorState(explore_weight=explore_weight)
-
-    def choose(self, template_id: str, candidates: list[PlanTree]) -> PlanTree:
-        return select_plan(template_id, candidates, self.state)
-
-    def observe(self, template_id: str, plan: PlanTree, latency: float) -> None:
-        feedback(template_id, plan, latency, self.state)

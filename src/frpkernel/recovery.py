@@ -206,18 +206,10 @@ class RedoLog:
 
     # -- verification ---------------------------------------------------------
 
-    def verify_log(self, first: int = 0, last: int | None = None) -> bool:
-        """True iff lsns are gap-free and every seal in range checks out."""
-        if last is None:
-            last = len(self.records) - 1
+    def verify_log(self) -> bool:
+        """True iff lsns are gap-free and every seal checks out."""
         index = self._seal_index()
-        if not index.ordered:
-            return False
-        for rec in index.seals:
-            if first <= rec.lsn <= last:
-                if not self._seal_ok(rec):
-                    return False
-        return True
+        return index.ordered and all(self._seal_ok(seal) for seal in index.seals)
 
     def _seal_index(self) -> _SealIndex:
         """The _SealIndex of `records`, rebuilt only when `records` no longer

@@ -1,4 +1,12 @@
+import os
+import subprocess
+import sys
+from itertools import combinations
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frpkernel import rng as rnglib
 from frpkernel.plan_opt import (
@@ -12,7 +20,7 @@ from frpkernel.plan_opt import (
     RelStats,
     Scan,
     SelectorState,
-    UcbSelector,
+    edge_key,
     estimate_vector,
     feedback,
     gen_candidates,
@@ -277,9 +285,9 @@ def test_bandit_prefers_faster_plan():
 
 def test_fresh_template_gets_fresh_state():
     _, fast, slow = two_plan_setup()
-    selector = UcbSelector()
-    selector.observe("seen", fast, 5.0)
-    assert select_plan("unseen", [slow, fast], selector.state) is slow
+    state = SelectorState()
+    feedback("seen", fast, 5.0, state)
+    assert select_plan("unseen", [slow, fast], state) is slow
 
 
 def test_simulated_latency_tracks_true_cost():
@@ -303,3 +311,195 @@ def test_queries_beyond_eight_relations_rejected():
     catalog = Catalog({r: RelStats(10, 10) for r in rels}, {})
     with pytest.raises(ValueError):
         optimize_base(Query(rels), catalog)
+
+
+# -- differential oracle for the bitmask DP ----------------------------------
+
+def ref_key(plan):
+    if isinstance(plan, Scan):
+        return plan.relation
+    return f"({ref_key(plan.left)} {plan.algo} {ref_key(plan.right)})"
+
+
+def ref_leaves(plan):
+    if isinstance(plan, Scan):
+        return frozenset([plan.relation])
+    return ref_leaves(plan.left) | ref_leaves(plan.right)
+
+
+def ref_row_of(view, rel):
+    return view.rows[view.rels.index(rel)]
+
+
+def ref_sel_of(view, a, b):
+    key = edge_key(a, b)
+    if key in view.edges:
+        return view.sels[view.edges.index(key)]
+    return 1.0
+
+
+def ref_card(rels, view):
+    """The frozenset-era card of a relation subset, with its rows multiplied
+    in sorted order; the old set iteration order followed the string hash
+    seed, and fixing that order is what the bitmask routine changed."""
+    card = 1.0
+    for rel in sorted(rels):
+        card *= ref_row_of(view, rel)
+    for a, b in combinations(sorted(rels), 2):
+        card *= ref_sel_of(view, a, b)
+    return card
+
+
+def ref_plan_card(plan, view):
+    if isinstance(plan, Scan):
+        return ref_row_of(view, plan.relation)
+    return ref_card(ref_leaves(plan), view)
+
+
+def ref_plan_cost(plan, view):
+    if isinstance(plan, Scan):
+        return ref_row_of(view, plan.relation)
+    lc = ref_plan_card(plan.left, view)
+    rc = ref_plan_card(plan.right, view)
+    out = ref_plan_card(plan, view)
+    if plan.algo == HASH_JOIN:
+        here = 1.5 * (lc + rc) + out
+    else:
+        here = lc + lc * rc + out
+    return ref_plan_cost(plan.left, view) + ref_plan_cost(plan.right, view) + here
+
+
+def ref_optimize(query, view):
+    """The frozenset DP over every split of every subset, argmin of (cost, key)."""
+    rels = sorted(query.relations)
+    best = {}
+    for rel in rels:
+        best[frozenset([rel])] = (ref_row_of(view, rel), rel, ref_row_of(view, rel))
+    for size in range(2, len(rels) + 1):
+        for subset in combinations(rels, size):
+            sset = frozenset(subset)
+            out = ref_card(sset, view)
+            entry = None
+            for left_size in range(1, size):
+                for left in combinations(subset, left_size):
+                    lset = frozenset(left)
+                    lcost, lkey, lcard = best[lset]
+                    rcost, rkey, rcard = best[sset - lset]
+                    for algo in (HASH_JOIN, NESTED_LOOP):
+                        if algo == HASH_JOIN:
+                            here = 1.5 * (lcard + rcard) + out
+                        else:
+                            here = lcard + lcard * rcard + out
+                        cand = (lcost + rcost + here, f"({lkey} {algo} {rkey})", out)
+                        if entry is None or cand[:2] < entry[:2]:
+                            entry = cand
+            best[sset] = entry
+    return best[frozenset(rels)][1]
+
+
+@st.composite
+def dp_cases(draw):
+    """A 1-8 relation query (chain, cycle, star or random edges), a catalog
+    with random or all-equal rows, and its estimate, true and mutated views."""
+    n = draw(st.integers(1, 8))
+    # short names over a small alphabet: sorted order differs from draw
+    # order, and some names are prefixes of others
+    rels = draw(st.lists(st.text("abz", min_size=1, max_size=3),
+                         min_size=n, max_size=n, unique=True))
+    shape = draw(st.sampled_from(["chain", "cycle", "star", "random"]))
+    if shape == "chain":
+        joins = list(zip(rels, rels[1:]))
+    elif shape == "cycle":
+        joins = list(zip(rels, rels[1:] + rels[:1])) if n > 2 else list(zip(rels, rels[1:]))
+    elif shape == "star":
+        joins = [(rels[0], r) for r in rels[1:]]
+    else:
+        pairs = list(combinations(rels, 2))
+        joins = [p for p, keep in zip(pairs, draw(st.lists(
+            st.booleans(), min_size=len(pairs), max_size=len(pairs)))) if keep]
+    if joins and draw(st.booleans()):
+        a, b = joins[0]
+        joins.append((b, a))    # a repeated edge: its first sel counts
+    rows = st.floats(1.0, 1e6)
+    if draw(st.booleans()):
+        row = draw(rows)
+        est = [row] * n          # equal rows force exact cost ties
+    else:
+        est = draw(st.lists(rows, min_size=n, max_size=n))
+    factors = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+    sels = {}
+    for a, b in joins:
+        sels[edge_key(a, b)] = (draw(st.floats(1e-4, 1.0)), draw(st.floats(1e-4, 1.0)))
+    catalog = Catalog({r: RelStats(e * f, e) for r, e, f in zip(rels, est, factors)}, sels)
+    query = Query(tuple(rels), tuple(joins))
+    base = estimate_vector(query, catalog)
+    gen = rnglib.derive(draw(st.integers(0, 2 ** 32)), "dp-oracle")
+    views = [base, true_vector(query, catalog)]
+    views += [mutate_cards(base, MutationGrid(), gen) for _ in range(2)]
+    return query, catalog, views
+
+
+@settings(max_examples=200, deadline=None)
+@given(dp_cases())
+def test_dp_matches_frozenset_reference(case):
+    query, catalog, views = case
+    for view in views:
+        plan = optimize_base(query, catalog, view)
+        assert plan.key() == ref_optimize(query, view)
+        assert plan.key() == ref_key(plan)
+        # one card routine: both orders of multiplication are the same here
+        assert plan_cost(plan, view) == ref_plan_cost(plan, view)
+    for plan in gen_candidates(query, catalog, n_plans=3, seed=len(query.relations)):
+        assert true_cost(plan, catalog) == ref_plan_cost(plan, true_vector(query, catalog))
+
+
+def test_join_cache_ignored_by_eq_hash_repr():
+    a = Join(Scan("A"), Scan("B"), HASH_JOIN)
+    b = Join(Scan("A"), Scan("B"), HASH_JOIN)
+    plan = Join(a, Scan("C"), NESTED_LOOP)
+    assert plan.key() == ref_key(plan) == "((A hash B) nl C)"
+    assert plan.leaves() == ref_leaves(plan) == {"A", "B", "C"}
+    object.__setattr__(b, "_key", "stale")
+    object.__setattr__(b, "_leaves", frozenset())
+    assert a == b and hash(a) == hash(b)
+    assert a != Join(Scan("B"), Scan("A"), HASH_JOIN)
+    assert repr(a) == repr(b) == ("Join(left=Scan(relation='A'), "
+                                  "right=Scan(relation='B'), algo='hash')")
+
+
+# Generated 6-8 relation queries with non-round cards; prints every
+# candidate's true and estimated cost at full precision.
+_COST_SCRIPT = """
+from frpkernel import rng as rnglib
+from frpkernel.plan_opt import (Catalog, Query, RelStats, edge_key, estimate_vector,
+                                gen_candidates, plan_cost, true_cost)
+gen = rnglib.derive(5, "hash-seed")
+for i, (size, shape) in enumerate([(6, "chain"), (7, "cycle"), (8, "star"),
+                                   (8, "chain"), (7, "star"), (6, "cycle")]):
+    rels = [f"q{i}r{j}" for j in range(size)]
+    if shape == "star":
+        joins = [(rels[0], r) for r in rels[1:]]
+    else:
+        joins = list(zip(rels, rels[1:] + (rels[:1] if shape == "cycle" else [])))
+    stats = {r: RelStats(float(10 ** gen.uniform(2, 6)), float(10 ** gen.uniform(2, 6)))
+             for r in rels}
+    sels = {edge_key(a, b): (float(10 ** gen.uniform(-4, -1)), float(10 ** gen.uniform(-4, -1)))
+            for a, b in joins}
+    query, catalog = Query(tuple(rels), tuple(joins)), Catalog(stats, sels)
+    view = estimate_vector(query, catalog)
+    for plan in gen_candidates(query, catalog, n_plans=4, seed=i):
+        print(plan.key(), repr(true_cost(plan, catalog)), repr(plan_cost(plan, view)))
+"""
+
+
+def test_costs_do_not_depend_on_hash_seed():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", _COST_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        outputs.append(run.stdout)
+    assert outputs[0].count("\n") >= 6
+    assert outputs[0] == outputs[1]
