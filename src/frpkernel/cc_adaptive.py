@@ -156,12 +156,6 @@ def all_cells(buckets: int) -> list[Cell]:
             for heat in (HOT, COLD)]
 
 
-def decide(strategy: CCStrategy, state: SystemState, op, key_heat: str) -> CCAction:
-    kind = getattr(op, "kind", op)
-    cb, wb = strategy.bucketizer.cell_of(state)
-    return strategy.action_at((cb, wb, kind, key_heat))
-
-
 class CountingPolicy:
     """Engine policy closure over (strategy, state) that tallies cell usage."""
 
@@ -193,18 +187,17 @@ def mutate(strategy: CCStrategy, cells_to_flip: int, gen) -> CCStrategy:
 
 
 def filter_phase(seed_strategy: CCStrategy, pop_size: int, evaluator, gen,
-                 cells_to_flip: int = 2, seed_reward: float | None = None) -> CCStrategy:
+                 cells_to_flip: int = 2) -> CCStrategy:
     """Evolutionary filter: evaluate pop_size mutants plus the seed, keep the best.
 
-    Ties go to the seed, then to earlier-generated mutants, so a zero-mutation
-    population returns the seed unchanged. `seed_reward` lets a caller reuse
-    the seed's already-measured reward instead of spending a probe window.
+    The seed is evaluated first, by the same evaluator as the mutants, so
+    every candidate is compared under the same probe conditions. Ties go to
+    the seed, then to earlier-generated mutants, so a zero-mutation
+    population returns the seed unchanged.
     """
     if pop_size < 2:
         raise ValueError("population size must be >= 2")
-    if seed_reward is None:
-        seed_reward = evaluator(seed_strategy)
-    best, best_reward = seed_strategy, seed_reward
+    best, best_reward = seed_strategy, evaluator(seed_strategy)
     for _ in range(pop_size):
         cand = mutate(seed_strategy, cells_to_flip, gen)
         cand_reward = evaluator(cand)
@@ -267,10 +260,6 @@ class OnlineAdapter:
     # count, service costs), or probe rewards rank candidates on a system
     # that behaves differently from the one being tuned
     engine_factory: object = Engine
-    # probing the incumbent costs one extra window but compares it to the
-    # mutants on the same probe seed; reuse_live_reward saves that window
-    # at the price of a cross-seed comparison
-    reuse_live_reward: bool = False
     # windows to ignore shift detection after installing a strategy, so the
     # turbulence the adaptation itself causes does not re-trigger it
     cooldown_windows: int = 0
@@ -297,13 +286,12 @@ class OnlineAdapter:
             return None
         if self.window_index == 1 or not detect_shift(prev, cur, self.thresholds):
             return None
-        event = self._adapt(cur, stats, workload)
+        event = self._adapt(cur, workload)
         self.events.append(event)
         self._cooldown = self.cooldown_windows
         return event
 
-    def _adapt(self, state: SystemState, live_stats: ExecStats,
-               workload: WorkloadSpec) -> AdaptationEvent:
+    def _adapt(self, state: SystemState, workload: WorkloadSpec) -> AdaptationEvent:
         probe_seed = rnglib.child_seed(self.seed, "probe", len(self.events))
         probe_spec = WorkloadSpec(
             key_space=workload.key_space, zipf_theta=workload.zipf_theta,
@@ -311,8 +299,6 @@ class OnlineAdapter:
             arrival_rate=workload.arrival_rate, seed=probe_seed)
         probes = 0
         memo: dict[CCStrategy, float] = {}
-        if self.reuse_live_reward:
-            memo[self.strategy] = window_reward(live_stats, self.abort_penalty)
 
         def evaluator(candidate: CCStrategy) -> float:
             nonlocal probes

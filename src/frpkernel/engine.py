@@ -213,11 +213,10 @@ class Engine:
 
     # -- transaction lifecycle -------------------------------------------
 
-    def begin(self, ops: list[TxnOp], txn_id: int | None = None) -> Txn:
+    def begin(self, ops: list[TxnOp]) -> Txn:
         self._begin_seq += 1
-        tid = txn_id if txn_id is not None else self._begin_seq
-        txn = Txn(txn_id=tid, ops=ops, begin_seq=self._begin_seq)
-        self.active[tid] = txn
+        txn = Txn(txn_id=self._begin_seq, ops=ops, begin_seq=self._begin_seq)
+        self.active[txn.txn_id] = txn
         return txn
 
     def execute_op(self, txn: Txn, op: TxnOp, action: CCAction) -> OpOutcome:
@@ -238,13 +237,13 @@ class Engine:
         for key in txn.write_versions:
             holders = self.locks.get(key, {})
             if any(t != txn.txn_id for t in holders):
-                self._abort(txn, "conflict")
+                self.abort(txn, "conflict")
                 return CommitResult(ABORTED, "conflict")
 
         # Backward validation of the optimistic footprint.
         for key, ver in {**txn.read_versions, **txn.write_versions}.items():
             if self.store.read(key).version != ver:
-                self._abort(txn, "conflict")
+                self.abort(txn, "conflict")
                 return CommitResult(ABORTED, "conflict")
 
         if self.log is not None:
@@ -266,7 +265,12 @@ class Engine:
     def abort(self, txn: Txn, reason: str = "user") -> None:
         if txn.status != ACTIVE:
             raise ValueError(f"txn {txn.txn_id} is {txn.status}")
-        self._abort(txn, reason)
+        self._release_all(txn)
+        self._drop_write_intents(txn)
+        txn.buffered.clear()
+        txn.status = ABORTED
+        txn.abort_reason = reason
+        self.active.pop(txn.txn_id, None)
 
     # -- locked path ------------------------------------------------------
 
@@ -279,7 +283,7 @@ class Engine:
             victim = self._find_deadlock_victim(txn.txn_id)
             if victim is not None:
                 vic = self.active[victim]
-                self._abort(vic, "deadlock")
+                self.abort(vic, "deadlock")
                 if vic is txn:
                     return OpOutcome(OpStatus.ABORTED, txn.op_wait)
             if not self._acquirable(txn, op.key, mode):
@@ -396,15 +400,6 @@ class Engine:
             else:
                 del self._write_intents[key]
 
-    def _abort(self, txn: Txn, reason: str) -> None:
-        self._release_all(txn)
-        if txn.status == ACTIVE:    # a committed txn's intents are already gone
-            self._drop_write_intents(txn)
-        txn.buffered.clear()
-        txn.status = ABORTED
-        txn.abort_reason = reason
-        self.active.pop(txn.txn_id, None)
-
     def lock_table_empty(self) -> bool:
         return not self.locks
 
@@ -512,7 +507,7 @@ class Engine:
             if txn.status == ABORTED:
                 stats.aborted_count += 1
             else:
-                self._abort(txn, "window_end")
+                self.abort(txn, "window_end")
                 stats.carryover_count += 1
         stats.carryover_count += len(pending)
 

@@ -85,17 +85,6 @@ class Schema:
             raise UnsupportedQuery(f"unknown attribute {name!r}")
         return 1 + int(self._offsets[idx]) + self.attributes[idx].local_token(value)
 
-    def to_dict(self) -> dict:
-        out = []
-        for a in self.attributes:
-            if a.kind == CATEGORICAL:
-                out.append({"name": a.name, "kind": a.kind,
-                            "vocabulary": list(a.vocabulary)})
-            else:
-                out.append({"name": a.name, "kind": a.kind,
-                            "bucket_edges": list(a.bucket_edges)})
-        return {"attributes": out}
-
     @classmethod
     def from_dict(cls, data: dict) -> "Schema":
         attrs = []

@@ -1,11 +1,4 @@
-from .buffer import (
-    BufferClosed,
-    BufferTimeout,
-    CircularBuffer,
-    EndOfStream,
-    feed_consume,
-    feed_produce,
-)
+from .buffer import BufferClosed, BufferTimeout, CircularBuffer, EndOfStream
 from .config import ConfigError, ScenarioConfig, build_scenario_config, load_config_file
 from .drivers import run_scenario
 from .metrics import MetricsWriter, write_combined_csv, write_summary
@@ -19,8 +12,6 @@ __all__ = [
     "MetricsWriter",
     "ScenarioConfig",
     "build_scenario_config",
-    "feed_consume",
-    "feed_produce",
     "load_config_file",
     "run_scenario",
     "write_combined_csv",

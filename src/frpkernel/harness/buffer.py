@@ -37,10 +37,6 @@ class CircularBuffer:
         self.total_produced = 0
         self.total_consumed = 0
 
-    @property
-    def occupancy(self) -> int:
-        return self._count
-
     def produce(self, batch, timeout: float | None = None) -> None:
         with self._cond:
             while self._count >= self.capacity and not self._closed:
@@ -73,11 +69,3 @@ class CircularBuffer:
         with self._cond:
             self._closed = True
             self._cond.notify_all()
-
-
-def feed_produce(buffer: CircularBuffer, batch) -> None:
-    buffer.produce(batch)
-
-
-def feed_consume(buffer: CircularBuffer):
-    return buffer.consume()

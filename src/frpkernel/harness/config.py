@@ -69,7 +69,6 @@ DEFAULTS = {
         "refine_rounds": 1,
         "probe_ticks": 120,
         "cooldown_windows": 2,
-        "reuse_live_reward": False,
         "initial_strategy": "prescribed",
         "thresholds": {
             "throughput": 0.5,
@@ -141,9 +140,8 @@ DEFAULTS = {
     },
 }
 
-# structured values a flat type check would reject
-_FREEFORM_KEYS = {"phases", "thresholds", "workload", "query", "catalog",
-                  "schema", "space_dims", "factors", "features"}
+# mappings merged key by key into their default rather than replacing it
+_NESTED_KEYS = {"workload", "thresholds"}
 
 
 def load_config_file(path) -> dict:
@@ -210,37 +208,63 @@ def build_scenario_config(scenario: str, raw: dict | None,
 
 
 def _merged_block(block: str, user: dict | None) -> dict:
-    merged = copy.deepcopy(DEFAULTS[block])
-    if user is None:
-        pass
-    elif not isinstance(user, dict):
-        raise ConfigError(f"block {block!r} must be a mapping")
-    else:
-        for key, value in user.items():
-            if key not in merged:
-                raise ConfigError(f"unknown key {block}.{key}")
-            default = merged[key]
-            if key in _FREEFORM_KEYS or default is None or value is None:
-                merged[key] = value
-            elif isinstance(default, bool):
-                if not isinstance(value, bool):
-                    raise ConfigError(f"{block}.{key} must be a boolean")
-                merged[key] = value
-            elif isinstance(default, int) and not isinstance(default, bool):
-                if not isinstance(value, int) or isinstance(value, bool):
-                    raise ConfigError(f"{block}.{key} must be an integer")
-                merged[key] = value
-            elif isinstance(default, float):
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    raise ConfigError(f"{block}.{key} must be a number")
-                merged[key] = float(value)
-            elif isinstance(default, str):
-                if not isinstance(value, str):
-                    raise ConfigError(f"{block}.{key} must be a string")
-                merged[key] = value
-            else:
-                merged[key] = value
+    merged = _typed_merge(block, DEFAULTS[block], {} if user is None else user)
+    if block == "cc_sim":
+        merged["phases"] = _merged_phases(merged["phases"])
     _validate_block(block, merged)
+    return merged
+
+
+def _typed_merge(where: str, defaults: dict, user, nullable: bool = False) -> dict:
+    """A copy of `defaults` overlaid with `user`, each value checked against
+    the type of its default. Lists and other mappings replace their default
+    whole and are checked by _validate_block; the _NESTED_KEYS mappings are
+    merged the same way, one level down. None is accepted only where the
+    default is None, or anywhere in a `nullable` mapping."""
+    if not isinstance(user, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    merged = copy.deepcopy(defaults)
+    for key, value in user.items():
+        name = f"{where}.{key}"
+        if key not in merged:
+            raise ConfigError(f"unknown key {name}")
+        default = merged[key]
+        if key in _NESTED_KEYS:
+            merged[key] = _typed_merge(name, default, value,
+                                       nullable=key == "thresholds")
+        elif default is None or (value is None and nullable):
+            merged[key] = value
+        elif isinstance(default, bool):
+            if not isinstance(value, bool):
+                raise ConfigError(f"{name} must be a boolean")
+            merged[key] = value
+        elif isinstance(default, int):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer")
+            merged[key] = value
+        elif isinstance(default, float):
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be a number")
+            merged[key] = float(value)
+        elif isinstance(default, str):
+            if not isinstance(value, str):
+                raise ConfigError(f"{name} must be a string")
+            merged[key] = value
+        else:
+            merged[key] = value
+    return merged
+
+
+def _merged_phases(phases) -> list:
+    """cc_sim phases with each phase's workload merged into DEFAULT_WORKLOAD."""
+    _require(isinstance(phases, list), "phases must be a list")
+    merged = []
+    for i, phase in enumerate(phases):
+        _require(isinstance(phase, dict) and set(phase) <= {"windows", "workload"},
+                 f"phase {i} must map windows/workload")
+        workload = _typed_merge(f"cc_sim.phases[{i}].workload", DEFAULT_WORKLOAD,
+                                phase.get("workload", {}))
+        merged.append(dict(phase, workload=workload))
     return merged
 
 
@@ -275,22 +299,11 @@ def _validate_block(block: str, params: dict) -> None:
             _require(params["initial_strategy"] in
                      ("prescribed", "all_lock", "all_optimistic"),
                      "initial_strategy must be prescribed|all_lock|all_optimistic")
-            thresholds = params["thresholds"]
-            _require(isinstance(thresholds, dict), "thresholds must be a mapping")
-            for key in thresholds:
-                _require(key in ("throughput", "avg_lock_wait", "abort_rate",
-                                 "contention_index"),
-                         f"unknown threshold {key!r}")
-            phases = params["phases"]
-            _require(isinstance(phases, list), "phases must be a list")
-            for i, phase in enumerate(phases):
-                _require(isinstance(phase, dict)
-                         and set(phase) <= {"windows", "workload"},
-                         f"phase {i} must map windows/workload")
+            for i, phase in enumerate(params["phases"]):
                 _require(isinstance(phase.get("windows"), int)
                          and phase["windows"] >= 0,
                          f"phase {i} windows must be an integer >= 0")
-                _check_workload(phase.get("workload") or {}, f"phase {i}")
+                _check_workload(phase["workload"], f"phase {i}")
         elif block == "recover_demo":
             _require(params["anchor_every"] >= 1, "anchor_every must be >= 1")
             _require(params["windows"] >= 1, "windows must be >= 1")
@@ -319,14 +332,11 @@ def _validate_block(block: str, params: dict) -> None:
 
 
 def _check_workload(workload: dict, where: str) -> None:
-    _require(isinstance(workload, dict), f"{where}: workload must be a mapping")
-    for key in workload:
-        _require(key in DEFAULT_WORKLOAD, f"{where}: unknown workload key {key!r}")
-    merged = dict(DEFAULT_WORKLOAD, **workload)
-    _require(merged["key_space"] >= 1, f"{where}: key_space must be >= 1")
-    _require(merged["txn_len"] >= 1, f"{where}: txn_len must be >= 1")
-    _require(merged["arrival_rate"] >= 0, f"{where}: arrival_rate must be >= 0")
-    _require(0.0 <= merged["write_frac"] <= 1.0,
+    """Range checks on a workload that _typed_merge already completed."""
+    _require(workload["key_space"] >= 1, f"{where}: key_space must be >= 1")
+    _require(workload["txn_len"] >= 1, f"{where}: txn_len must be >= 1")
+    _require(workload["arrival_rate"] >= 0, f"{where}: arrival_rate must be >= 0")
+    _require(0.0 <= workload["write_frac"] <= 1.0,
              f"{where}: write_frac must be in [0, 1]")
 
 
@@ -338,6 +348,7 @@ def _check_optd_structures(params: dict) -> None:
     _require(isinstance(rels, list) and rels
              and all(isinstance(r, str) for r in rels),
              "query.relations must be a list of names")
+    _require(len(set(rels)) == len(rels), "query.relations must not repeat a name")
     for join in query.get("joins", []):
         _require(isinstance(join, list) and len(join) == 2
                  and all(j in rels for j in join),

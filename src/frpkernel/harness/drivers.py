@@ -13,6 +13,7 @@ import threading
 from pathlib import Path
 
 import numpy as np
+import yaml
 
 from .. import rng as rnglib
 from ..cc_adaptive import (
@@ -56,7 +57,7 @@ from ..plan_opt import (
 )
 from ..recovery import EnclaveSim, RedoLog
 from .buffer import BufferClosed, CircularBuffer
-from .config import BLOCK_OF, ConfigError, DEFAULT_WORKLOAD, ScenarioConfig
+from .config import BLOCK_OF, ConfigError, ScenarioConfig
 from .metrics import MetricsWriter, write_combined_csv, write_summary
 
 
@@ -158,7 +159,6 @@ def run_cc_sim(params: dict, seed: int):
         probe_duration=params["probe_ticks"],
         seed=rnglib.child_seed(seed, "cc", "adapt"),
         engine_factory=engine_factory,
-        reuse_live_reward=params["reuse_live_reward"],
         cooldown_windows=params["cooldown_windows"],
     )
     engine = engine_factory()
@@ -167,12 +167,11 @@ def run_cc_sim(params: dict, seed: int):
     window_index = 0
     phase_throughput = []
     for phase_no, phase in enumerate(params["phases"]):
-        workload_cfg = dict(DEFAULT_WORKLOAD, **(phase.get("workload") or {}))
         throughputs = []
         for _ in range(phase["windows"]):
             spec = WorkloadSpec(seed=rnglib.child_seed(seed, "cc", "window",
                                                        window_index),
-                                **workload_cfg)
+                                **phase["workload"])
             policy = adapter.next_policy()
             stats = engine.run_window(spec, policy, params["window_ticks"])
             state = observe(stats, params["window_ticks"])
@@ -332,14 +331,14 @@ def run_optd(params: dict, seed: int):
 
 def run_gate(params: dict, seed: int):
     writer = MetricsWriter("gate")
-    if params.get("schema_file"):
-        import yaml
-
-        with open(params["schema_file"]) as fh:
-            schema_data = yaml.safe_load(fh)
+    try:
+        schema_data = params["schema"]
+        if params.get("schema_file"):
+            with open(params["schema_file"]) as fh:
+                schema_data = yaml.safe_load(fh)
         schema = Schema.from_dict(schema_data)
-    else:
-        schema = Schema.from_dict(params["schema"])
+    except (OSError, yaml.YAMLError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad schema: {exc}") from None
 
     if params.get("net_file"):
         net = GatingNet.load(params["net_file"])

@@ -34,10 +34,8 @@ class MetricsWriter:
         return [f"{format_value(t)},{s},{m},{format_value(v)}"
                 for t, s, m, v in self.rows]
 
-    def write_csv(self, path, include_header: bool = True) -> None:
-        lines = ([self.HEADER] if include_header else []) + self.csv_lines()
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+    def write_csv(self, path) -> None:
+        write_combined_csv(path, [self])
 
 
 def write_combined_csv(path, writers: list[MetricsWriter]) -> None:

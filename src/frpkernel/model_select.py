@@ -120,30 +120,6 @@ class ProxyScorer:
         return value
 
 
-@dataclass(frozen=True)
-class CombinedScorer:
-    """Weighted blend of proxies, e.g. an expressivity-like and a
-    trainability-like signal; cost is the sum of the parts."""
-
-    parts: tuple[tuple[float, ProxyScorer], ...]
-
-    @property
-    def cost(self) -> float:
-        return sum(p.cost for _, p in self.parts)
-
-    def score(self, params: tuple[int, ...]) -> float:
-        return sum(w * p.score(params) for w, p in self.parts)
-
-
-def default_combined_scorer(space: ModelSpace, sigma: float = 0.1,
-                            cost: float = 1.0) -> CombinedScorer:
-    half = cost / 2.0
-    return CombinedScorer((
-        (0.5, ProxyScorer(space, rho=0.85, sigma=sigma, cost=half, label="expressivity")),
-        (0.5, ProxyScorer(space, rho=0.75, sigma=sigma, cost=half, label="trainability")),
-    ))
-
-
 class Trainer:
     """Exponential-saturation training curves with optional observation noise.
 

@@ -60,9 +60,6 @@ class Catalog:
                 raise ValueError(f"selectivity references unknown relation {pair}")
             self.selectivities[edge_key(a, b)] = (float(true_sel), float(est_sel))
 
-    def has(self, name: str) -> bool:
-        return name in self.relations
-
 
 @dataclass(frozen=True)
 class Query:
@@ -145,7 +142,7 @@ def true_vector(query: Query, catalog: Catalog) -> CardinalityVector:
 
 def _vector(query: Query, catalog: Catalog, use_true: bool) -> CardinalityVector:
     for rel in query.relations:
-        if not catalog.has(rel):
+        if rel not in catalog.relations:
             raise ValueError(f"unknown relation {rel}")
     rels = tuple(sorted(query.relations))
     rows = tuple(catalog.relations[r].true_rows if use_true
@@ -244,9 +241,9 @@ def true_cost(plan: PlanTree, catalog: Catalog) -> float:
 
 
 def simulate_latency(plan: PlanTree, catalog: Catalog, gen=None,
-                     noise_frac: float = 0.05, unit: float = 1.0) -> float:
-    """Observed latency: true cost times unit time, plus relative noise."""
-    base = true_cost(plan, catalog) * unit
+                     noise_frac: float = 0.05) -> float:
+    """Observed latency: true cost plus relative noise."""
+    base = true_cost(plan, catalog)
     if gen is None or noise_frac <= 0:
         return base
     return base * (1.0 + noise_frac * float(gen.uniform(-1.0, 1.0)))
@@ -331,13 +328,12 @@ def optimize_base(query: Query, catalog: Catalog,
 
 
 def gen_candidates(query: Query, catalog: Catalog, n_plans: int,
-                   grid: MutationGrid = MutationGrid(), gen=None,
+                   grid: MutationGrid = MutationGrid(),
                    seed: int = 0) -> list[PlanTree]:
     """Base plan plus up to n_plans de-duplicated mutation-derived plans."""
     if n_plans < 0:
         raise ValueError("n_plans must be >= 0")
-    if gen is None:
-        gen = rnglib.derive(seed, "plan-mutate")
+    gen = rnglib.derive(seed, "plan-mutate")
     base_view = estimate_vector(query, catalog)
     base = optimize_base(query, catalog, base_view)
     plans = [base]

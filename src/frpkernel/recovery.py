@@ -57,10 +57,8 @@ class EnclaveSim:
     the key.
     """
 
-    def __init__(self, seed: int | None = None, key: bytes | None = None):
-        if key is not None:
-            self._mac_key = key
-        elif seed is not None:
+    def __init__(self, seed: int | None = None):
+        if seed is not None:
             self._mac_key = hashlib.sha256(f"enclave:{seed}".encode()).digest()
         else:
             import os
@@ -139,7 +137,7 @@ class RedoLog:
         self.enclave = enclave
         self.anchor_every = anchor_every
         self.records: list = []
-        self._mod_counts: dict[str, int] = {}
+        # derived from `records` by _index_record, on append and on load
         self._latest: dict[str, tuple[int, int]] = {}   # key -> (value, version)
         self._txn_lsns: dict[int, list[int]] = {}
         self._sealed: set[int] = set()
@@ -158,23 +156,12 @@ class RedoLog:
 
     def append_redo(self, txn_id: int, key: str, new_value: int) -> int:
         _check_key(key)
-        self.register_txn(txn_id)
-        mod_index = self._mod_counts.get(key, 0) + 1
-        self._mod_counts[key] = mod_index
-
+        mod_index = self.expected_state(key)[1] + 1
         lsn = len(self.records)
-        entry = RedoEntry(lsn, txn_id, key, new_value, mod_index)
-        self.records.append(entry)
-        self._txn_lsns[txn_id].append(lsn)
-        self._key_redos.setdefault(key, []).append(lsn)
-        self._latest[key] = (new_value, mod_index)
-
+        self._index_record(RedoEntry(lsn, txn_id, key, new_value, mod_index))
         if mod_index % self.anchor_every == 0:
-            alsn = len(self.records)
-            anchor = AnchorEntry(alsn, key, new_value, mod_index, mod_index)
-            self.records.append(anchor)
-            self._txn_lsns[txn_id].append(alsn)
-            self._key_anchors.setdefault(key, []).append(alsn)
+            self._index_record(AnchorEntry(lsn + 1, key, new_value, mod_index,
+                                           mod_index))
         return lsn
 
     def seal_txn(self, txn_id: int) -> TxnSeal:
@@ -192,8 +179,7 @@ class RedoLog:
         digest = self._range_digest(txn_id, first, last)
         seal = TxnSeal(len(self.records), txn_id, first, last, digest,
                        self.enclave.sign(digest))
-        self.records.append(seal)
-        self._sealed.add(txn_id)
+        self._index_record(seal)
         return seal
 
     def _range_digest(self, txn_id: int, first: int, last: int) -> str:
@@ -274,11 +260,13 @@ class RedoLog:
         position, verifies every non-empty seal whose range overlaps the
         replayed range [anchor, last redo] in lsn order (also seals of other
         transactions inside it), and checks that each replayed entry lies in
-        a verified seal; any failure raises RecoveryRefused. The lsn check
-        and the seal lookup read an index built once per log state (see
-        `_seal_index`, one extra pointer per record), so a recovery costs the
-        seals in its range, not the log length. `last_replay_count` and
-        `last_seals_verified` report the replayed entries and verified seals.
+        a verified seal; any failure raises RecoveryRefused. The anchor and
+        the redo lsns come from per-key maps that `_index_record` extends as
+        each record is appended or loaded. The lsn check and the seal lookup
+        read an index built once per log state (see `_seal_index`, one extra
+        pointer per record), so a recovery costs the seals in its range, not
+        the log length. `last_replay_count` and `last_seals_verified` report
+        the replayed entries and verified seals.
         """
         base, redo_lsns = self.replay_plan(key)
         anchors = self._key_anchors.get(key, [])
@@ -319,7 +307,7 @@ class RedoLog:
             raise RecoveryRefused(f"entries {missing} not covered by any valid seal")
         return len(overlapping)
 
-    # -- file persistence -------------------------------------------------------
+    # -- serialization --------------------------------------------------------
 
     def _header_line(self) -> str:
         prefix = f"{MAGIC}|{FORMAT_VERSION}|{DIGEST_ALGO}|{self.anchor_every}"
@@ -328,16 +316,6 @@ class RedoLog:
     def to_text(self) -> str:
         lines = [self._header_line()] + [rec.line() for rec in self.records]
         return "\n".join(lines) + "\n"
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_text())
-
-    @classmethod
-    def load(cls, path, enclave: EnclaveSim) -> "RedoLog":
-        with open(path, "r") as fh:
-            content = fh.read()
-        return cls.from_text(content, enclave)
 
     @classmethod
     def from_text(cls, content: str, enclave: EnclaveSim) -> "RedoLog":
@@ -366,15 +344,17 @@ class RedoLog:
                 raise LogCorrupt(f"non-canonical record: {raw!r}")
             if rec.lsn != len(log.records):
                 raise LogCorrupt(f"lsn gap at {rec.lsn}")
-            log.records.append(rec)
             log._index_record(rec)
         return log
 
     def _index_record(self, rec) -> None:
+        """Append `rec` to `records` and derive the per-txn and per-key maps
+        from it. Appends and loads both go through here, so a reloaded log
+        has the same maps as the one that wrote it."""
+        self.records.append(rec)
         if isinstance(rec, RedoEntry):
             self._txn_lsns.setdefault(rec.txn_id, []).append(rec.lsn)
             self._key_redos.setdefault(rec.key, []).append(rec.lsn)
-            self._mod_counts[rec.key] = rec.mod_index
             self._latest[rec.key] = (rec.new_value, rec.mod_index)
         elif isinstance(rec, AnchorEntry):
             self._key_anchors.setdefault(rec.key, []).append(rec.lsn)

@@ -8,7 +8,6 @@ from frpkernel.cc_adaptive import (
     SystemState,
     all_cells,
     as_policy,
-    decide,
     detect_shift,
     filter_phase,
     mutate,
@@ -81,30 +80,30 @@ def test_field_appearing_from_zero_trips():
     assert detect_shift(SystemState(), SystemState(throughput=1.0))
 
 
-# -- strategies and decide ----------------------------------------------------
+# -- strategies and policies --------------------------------------------------
 
 def test_constant_strategy_always_locks():
     strategy = CCStrategy.constant(LOCK)
     for state in (SystemState(), SystemState(99.0, 4.0, 0.9, 0.9)):
         for kind in (READ, WRITE):
             for heat in (HOT, COLD):
-                assert decide(strategy, state, kind, heat) is LOCK
+                assert as_policy(strategy, state)(kind, heat) is LOCK
 
 
 def test_prescribed_policy_pins_the_named_cells():
     strategy = CCStrategy.prescribed()
     high = SystemState(contention_index=0.9, avg_lock_wait=4.0)
     low = SystemState(contention_index=0.05, avg_lock_wait=0.1)
-    assert decide(strategy, high, WRITE, HOT) is LOCK
-    assert decide(strategy, low, READ, COLD) is OPT
+    assert as_policy(strategy, high)(WRITE, HOT) is LOCK
+    assert as_policy(strategy, low)(READ, COLD) is OPT
 
 
 def test_decide_is_pure():
     strategy = CCStrategy.prescribed()
     state = SystemState(5.0, 0.5, 0.1, 0.3)
-    first = decide(strategy, state, WRITE, COLD)
+    first = as_policy(strategy, state)(WRITE, COLD)
     for _ in range(10):
-        assert decide(strategy, state, WRITE, COLD) is first
+        assert as_policy(strategy, state)(WRITE, COLD) is first
 
 
 def test_bucketizer_clamps_to_range():

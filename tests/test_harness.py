@@ -9,11 +9,14 @@ from frpkernel.harness.buffer import (
     BufferTimeout,
     CircularBuffer,
     EndOfStream,
-    feed_consume,
-    feed_produce,
 )
 from frpkernel.harness.cli import main
-from frpkernel.harness.config import ConfigError, build_scenario_config
+from frpkernel.harness.config import (
+    DEFAULT_WORKLOAD,
+    DEFAULTS,
+    ConfigError,
+    build_scenario_config,
+)
 from frpkernel.harness.drivers import run_scenario
 
 
@@ -59,12 +62,6 @@ def test_close_drains_then_signals_end_of_stream():
         buf.produce(3)
 
 
-def test_feed_function_aliases():
-    buf = CircularBuffer(2)
-    feed_produce(buf, "batch")
-    assert feed_consume(buf) == "batch"
-
-
 def test_producer_consumer_stress_no_loss_no_duplication():
     total = 10_000
     buf = CircularBuffer(7)
@@ -82,7 +79,8 @@ def test_producer_consumer_stress_no_loss_no_duplication():
             item = buf.consume(timeout=10.0)
         except EndOfStream:
             break
-        assert 0 <= buf.occupancy <= buf.capacity
+        # this thread is the only consumer, so total_consumed is stable here
+        assert 0 <= buf.total_produced - buf.total_consumed <= buf.capacity
         received.append(item)
     worker.join(timeout=10.0)
     assert not worker.is_alive()
@@ -108,13 +106,49 @@ def test_unknown_block_key_rejected():
         build_scenario_config("select", {"select": {"budge": 10}})
 
 
-def test_type_errors_rejected():
+def test_type_errors_rejected(tmp_path):
     with pytest.raises(ConfigError):
         build_scenario_config("select", {"select": {"eta": "two"}})
     with pytest.raises(ConfigError):
         build_scenario_config("select", {"select": {"budget": "lots"}})
     with pytest.raises(ConfigError):
         build_scenario_config("cc-sim", {"cc_sim": {"phases": "nope"}})
+    # nested workload and thresholds values get the same checks
+    for scenario, block in (
+            ("cc-sim", {"cc_sim": {"phases": [
+                {"windows": 1, "workload": {"key_space": "many"}}]}}),
+            ("cc-sim", {"cc_sim": {"phases": [
+                {"windows": 1, "workload": {"txn_len": 2.5}}]}}),
+            ("cc-sim", {"cc_sim": {"phases": [{"windows": 1, "workload": None}]}}),
+            ("cc-sim", {"cc_sim": {"thresholds": {"throughput": "high"}}}),
+            ("cc-sim", {"cc_sim": {"thresholds": 0.5}}),
+            ("cc-sim", {"cc_sim": {"workers": None}}),
+            ("recover-demo", {"recover_demo": {"workload": {"write_frac": "lots"}}}),
+            ("recover-demo", {"recover_demo": {"workload": {"zipf": 0.5}}})):
+        with pytest.raises(ConfigError):
+            build_scenario_config(scenario, block)
+    cfg = build_scenario_config("cc-sim", {"cc_sim": {
+        "thresholds": {"throughput": None},
+        "phases": [{"windows": 1, "workload": {"zipf_theta": 1}}]}})
+    assert cfg.params["thresholds"] == dict(
+        DEFAULTS["cc_sim"]["thresholds"], throughput=None)
+    assert cfg.params["phases"] == [
+        {"windows": 1, "workload": dict(DEFAULT_WORKLOAD, zipf_theta=1.0)}]
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("recover_demo: {workload: {write_frac: lots}}\n")
+    assert main(["recover-demo", "--config", str(bad), "--validate-only"]) == 2
+
+
+def test_partial_workload_merges_into_block_default(tmp_path):
+    # restating the default write_frac must not reset the other fields
+    path = tmp_path / "restated.yaml"
+    path.write_text("recover_demo: {workload: {write_frac: 0.6}}\n")
+    restated, default = tmp_path / "restated", tmp_path / "default"
+    assert main(["recover-demo", "--config", str(path), "--out", str(restated)]) == 0
+    assert main(["recover-demo", "--out", str(default)]) == 0
+    for name in ("recover_demo_metrics.csv", "recover_demo_summary.json",
+                 "redo_log.txt"):
+        assert (restated / name).read_bytes() == (default / name).read_bytes()
 
 
 def test_scenario_mismatch_rejected():
@@ -215,6 +249,18 @@ def test_cli_exit_codes(tmp_path):
     # validates but cannot plan: runtime failure
     assert main(["select", "--budget", "0.5", "--out", str(tmp_path / "r")]) == 3
     assert not (tmp_path / "r").exists()
+
+    # configuration errors found only when the scenario runs still exit 2
+    dup = tmp_path / "dup.yaml"
+    dup.write_text("optd: {query: {relations: [A, A], joins: []}}\n")
+    assert main(["optd", "--config", str(dup), "--out", str(tmp_path / "d")]) == 2
+    weird = tmp_path / "weird.yaml"
+    weird.write_text("gate: {schema: {attributes: [{name: a, kind: weird}]}}\n")
+    assert main(["gate", "--config", str(weird), "--out", str(tmp_path / "w")]) == 2
+    assert main(["gate", "--schema", str(tmp_path / "none.yaml"),
+                 "--out", str(tmp_path / "s")]) == 2
+    for name in ("d", "w", "s"):
+        assert not (tmp_path / name).exists()
 
     with pytest.raises(SystemExit) as exc:
         main(["no-such-scenario"])

@@ -10,7 +10,6 @@ from frpkernel.model_select import (
     ProxyScorer,
     ScoredModel,
     Trainer,
-    default_combined_scorer,
     explore_and_score,
     oracle_regret,
     plan_budget,
@@ -77,14 +76,6 @@ def test_noisy_scorer_deterministic_per_genome():
     space = small_space()
     scorer = ProxyScorer(space, rho=0.7, sigma=0.5)
     assert scorer.score((0, 1, 2)) == scorer.score((0, 1, 2))
-
-
-def test_combined_scorer_cost_and_blend():
-    space = small_space()
-    scorer = default_combined_scorer(space, sigma=0.0, cost=3.0)
-    assert scorer.cost == 3.0
-    exact = 0.5 * 0.85 + 0.5 * 0.75
-    assert scorer.score((1, 1, 1)) == pytest.approx(exact * space.a_final((1, 1, 1)))
 
 
 def test_training_curve_starts_at_zero_and_saturates():
@@ -159,7 +150,7 @@ def test_explore_caps_n_at_space_size():
 
 def test_explore_deterministic_and_worker_count_changes_only_order():
     space = small_space(dims=(4, 4, 4))
-    scorer = default_combined_scorer(space, sigma=0.2)
+    scorer = ProxyScorer(space, rho=0.8, sigma=0.2)
     serial_a = explore_and_score(space, scorer, n=20, workers=1, seed=7)
     serial_b = explore_and_score(space, scorer, n=20, workers=1, seed=7)
     assert serial_a == serial_b

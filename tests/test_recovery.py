@@ -118,13 +118,11 @@ def test_flipped_signature_detected():
     assert not log.verify_log()
 
 
-def test_exhaustive_bit_flips_detected(tmp_path):
+def test_exhaustive_bit_flips_detected():
     log = make_log(n=2)
     append_and_seal(log, 1, [("x", 5), ("y", 6)])
     append_and_seal(log, 2, [("x", 7)])
-    path = tmp_path / "log.txt"
-    log.save(path)
-    raw = path.read_bytes()
+    raw = log.to_text().encode()
     enclave = log.enclave
 
     for byte_idx in range(len(raw)):
@@ -221,15 +219,13 @@ def test_recover_refused_for_unsealed_injected_entry():
         log.recover("x")
 
 
-def test_save_load_roundtrip(tmp_path):
+def test_save_load_roundtrip():
     log = make_log(n=2)
     append_and_seal(log, 1, [("x", 5), ("y", 6), ("x", 7)])
     log.register_txn(2)
     log.seal_txn(2)
-    path = tmp_path / "log.txt"
-    log.save(path)
 
-    loaded = RedoLog.load(path, log.enclave)
+    loaded = RedoLog.from_text(log.to_text(), log.enclave)
     assert loaded.verify_log()
     assert loaded.records == log.records
     assert loaded.anchor_every == 2
@@ -239,13 +235,11 @@ def test_save_load_roundtrip(tmp_path):
     assert loaded.verify_log()
 
 
-def test_wrong_enclave_key_rejects_log(tmp_path):
+def test_wrong_enclave_key_rejects_log():
     log = make_log(seed=1)
     append_and_seal(log, 1, [("x", 5)])
-    path = tmp_path / "log.txt"
-    log.save(path)
     with pytest.raises(LogCorrupt):
-        RedoLog.load(path, EnclaveSim(seed=2))
+        RedoLog.from_text(log.to_text(), EnclaveSim(seed=2))
 
 
 def test_enclave_key_never_reaches_serialized_output():
@@ -456,3 +450,64 @@ def test_recover_matches_whole_log_rescan(n, events, seal_rest, rounds):
         for kind, at, other in mutations:
             txn_id += 1
             mutate(log, kind, at, other, txn_id)
+
+
+def scanned_maps(records):
+    """Reference for the maps RedoLog derives from its records, by a plain
+    scan of `records`."""
+    redos = [r for r in records if isinstance(r, RedoEntry)]
+    anchors = [r for r in records if isinstance(r, AnchorEntry)]
+    return {
+        "_latest": {r.key: (r.new_value, r.mod_index) for r in redos},
+        "_key_redos": {k: [r.lsn for r in redos if r.key == k]
+                       for k in {r.key for r in redos}},
+        "_key_anchors": {k: [a.lsn for a in anchors if a.key == k]
+                         for k in {a.key for a in anchors}},
+        "_sealed": {r.txn_id for r in records if isinstance(r, TxnSeal)},
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    txns=st.lists(st.tuples(st.lists(st.sampled_from(("a", "b", "c", "d")),
+                                     max_size=4),
+                            st.booleans()),
+                  min_size=1, max_size=12),
+)
+def test_index_maps_match_plain_scan(n, txns):
+    """Appends, seals and a reload all leave the derived maps equal to a
+    scan of the records; each txn owns exactly the lsns its appends added
+    (anchors included), and an empty registered txn owns none."""
+    log = make_log(n=n)
+    owned, unsealed = {}, []
+
+    def check(target):
+        for name, expected in scanned_maps(target.records).items():
+            assert getattr(target, name) == expected, name
+        assert target._txn_lsns == owned
+
+    for txn_id, (keys, seal_now) in enumerate(txns, start=1):
+        log.register_txn(txn_id)
+        owned[txn_id] = []
+        for i, key in enumerate(keys):
+            before = len(log.records)
+            assert log.append_redo(txn_id, key, 10 * txn_id + i) == before
+            owned[txn_id].extend(range(before, len(log.records)))
+            check(log)
+        unsealed.append(txn_id)
+        if seal_now:
+            log.seal_txn(unsealed.pop())
+            check(log)
+    for txn_id in unsealed:     # seals may trail later txns' entries
+        log.seal_txn(txn_id)
+        check(log)
+
+    count = {}
+    for rec in log.records:
+        if isinstance(rec, RedoEntry):
+            count[rec.key] = count.get(rec.key, 0) + 1
+            assert rec.mod_index == count[rec.key]
+            anchored = isinstance(log.records[rec.lsn + 1], AnchorEntry)
+            assert anchored == (rec.mod_index % n == 0)
+    check(RedoLog.from_text(log.to_text(), log.enclave))
