@@ -217,6 +217,8 @@ class GatingNet:
             raise ValueError("bias shapes do not match layer widths")
         if self.w1.shape[1] != self.w2.shape[0]:
             raise ValueError("hidden widths of the two layers disagree")
+        if self.k_max < 1:
+            raise ValueError("k_max must be >= 1")
 
     @property
     def n_experts(self) -> int:
@@ -224,6 +226,11 @@ class GatingNet:
 
     def expected_attrs(self) -> int:
         return self.w1.shape[0] // self.embeddings.shape[1]
+
+    def fits(self, schema: Schema) -> bool:
+        """Whether every query encoded under `schema` is a valid input."""
+        return (schema.n_attrs * self.embeddings.shape[1] == self.w1.shape[0]
+                and self.embeddings.shape[0] >= schema.n_tokens)
 
     def logits(self, encoding: np.ndarray) -> np.ndarray:
         encoding = np.asarray(encoding)

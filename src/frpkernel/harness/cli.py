@@ -1,7 +1,9 @@
 """Command-line entry point: `frp-kernel <scenario> [--config FILE] ...`.
 
-Exit codes: 0 on success, 2 for configuration/usage errors (before any side
-effects), 3 for runtime failures.
+Exit codes: 0 on success, 2 for usage and configuration errors, 3 for runtime
+failures. Every configuration error, a bad `--net`, `--schema` or predicate
+included, is found before a run starts, so `--validate-only` reports it with
+exit 2 and nothing is written.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--n-plans", type=int, dest="n_plans",
                    help="mutation iterations")
-    p.add_argument("--grid", type=_grid, dest="factors",
+    p.add_argument("--grid", type=_floats, dest="factors",
                    help="factor grid, e.g. 0.1,0.5,1,2,10")
     p.add_argument("--episodes", type=int, help="bandit episodes")
 
@@ -77,28 +79,23 @@ def _dims(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part]
 
 
-def _grid(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part]
-
-
 def _floats(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part]
 
 
-OVERRIDE_KEYS = ("budget", "filter_fraction", "eta", "workers", "space_dims",
-                 "rho", "sigma", "runs", "anchor_every", "tamper_keys",
-                 "n_plans", "factors", "episodes", "schema_file", "net_file",
-                 "predicate", "features")
+# the arguments every subcommand takes; each other argument overrides the
+# config key named by its dest
+COMMON = ("scenario", "config", "seed", "out", "validate_only")
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    overrides = {key: value for key, value in vars(args).items()
+                 if key not in COMMON and value is not None}
     try:
         raw = load_config_file(args.config) if args.config else {}
-        overrides = {key: getattr(args, key) for key in OVERRIDE_KEYS
-                     if getattr(args, key, None) is not None}
         config = build_scenario_config(args.scenario, raw, seed=args.seed,
-                                       overrides=overrides or None)
+                                       overrides=overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -109,9 +106,6 @@ def main(argv=None) -> int:
 
     try:
         summary = run_scenario(config, args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # runtime failure: structured report, exit 3
         report = {"error": type(exc).__name__, "message": str(exc),
                   "scenario": args.scenario}

@@ -13,7 +13,6 @@ import threading
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .. import rng as rnglib
 from ..cc_adaptive import (
@@ -29,7 +28,6 @@ from ..gate import (
     ExpertSet,
     GatingNet,
     Schema,
-    UnsupportedQuery,
     encode_query,
     gate,
     parse_predicates,
@@ -57,7 +55,7 @@ from ..plan_opt import (
 )
 from ..recovery import EnclaveSim, RedoLog
 from .buffer import BufferClosed, CircularBuffer
-from .config import BLOCK_OF, ConfigError, ScenarioConfig
+from .config import BLOCK_OF, ScenarioConfig
 from .metrics import MetricsWriter, write_combined_csv, write_summary
 
 
@@ -331,19 +329,9 @@ def run_optd(params: dict, seed: int):
 
 def run_gate(params: dict, seed: int):
     writer = MetricsWriter("gate")
-    try:
-        schema_data = params["schema"]
-        if params.get("schema_file"):
-            with open(params["schema_file"]) as fh:
-                schema_data = yaml.safe_load(fh)
-        schema = Schema.from_dict(schema_data)
-    except (OSError, yaml.YAMLError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad schema: {exc}") from None
-
-    if params.get("net_file"):
+    schema = Schema.from_dict(params["schema"])
+    if params["net_file"] is not None:
         net = GatingNet.load(params["net_file"])
-        if net.expected_attrs() != schema.n_attrs:
-            raise ConfigError("net file does not match the schema width")
     else:
         net = GatingNet.random(schema, params["n_experts"],
                                embed_dim=params["embed_dim"],
@@ -351,13 +339,7 @@ def run_gate(params: dict, seed: int):
                                k_max=params["k_max"],
                                threshold=params["threshold"],
                                seed=rnglib.child_seed(seed, "gate", "net"))
-
-    try:
-        pairs = parse_predicates(params["predicate"])
-        encoding = encode_query(pairs, schema)
-    except UnsupportedQuery as exc:
-        raise ConfigError(f"bad predicate: {exc}") from None
-
+    encoding = encode_query(parse_predicates(params["predicate"]), schema)
     weights = gate(encoding, net)
     features = np.asarray(params["features"], dtype=float)
     experts = ExpertSet.random_linear(net.n_experts, features.size,

@@ -1,9 +1,11 @@
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
+from frpkernel.gate import GatingNet, Schema
 from frpkernel.harness.buffer import (
     BufferClosed,
     BufferTimeout,
@@ -16,6 +18,7 @@ from frpkernel.harness.config import (
     DEFAULTS,
     ConfigError,
     build_scenario_config,
+    load_config_file,
 )
 from frpkernel.harness.drivers import run_scenario
 
@@ -124,7 +127,11 @@ def test_type_errors_rejected(tmp_path):
             ("cc-sim", {"cc_sim": {"thresholds": 0.5}}),
             ("cc-sim", {"cc_sim": {"workers": None}}),
             ("recover-demo", {"recover_demo": {"workload": {"write_frac": "lots"}}}),
-            ("recover-demo", {"recover_demo": {"workload": {"zipf": 0.5}}})):
+            ("recover-demo", {"recover_demo": {"workload": {"zipf": 0.5}}}),
+            # a bool is not a number, in a list or as the seed
+            ("select", {"seed": True}),
+            ("select", {"select": {"space_dims": [True, 2]}}),
+            ("optd", {"optd": {"factors": [True, 1]}})):
         with pytest.raises(ConfigError):
             build_scenario_config(scenario, block)
     cfg = build_scenario_config("cc-sim", {"cc_sim": {
@@ -171,8 +178,18 @@ def test_value_range_checks():
             build_scenario_config("cc-sim", {"cc_sim": {key: value}})
     build_scenario_config("cc-sim", {"cc_sim": {"hot_keys": 0, "lock_overhead": 0,
                                                 "abort_cost": 0}})
-    with pytest.raises(ConfigError):
-        build_scenario_config("recover-demo", {"recover_demo": {"workers": 0}})
+    for scenario, block, key, value in (
+            ("recover-demo", "recover_demo", "workers", 0),
+            ("recover-demo", "recover_demo", "window_ticks", 0),
+            ("select", "select", "initial_epochs", -3),
+            ("optd", "optd", "latency_noise", 2.0),
+            ("optd", "optd", "latency_noise", 1.0),
+            ("gate", "gate", "embed_dim", 0),
+            ("gate", "gate", "hidden_dim", -1),
+            ("gate", "gate", "schema", {"attributes": []})):
+        with pytest.raises(ConfigError):
+            build_scenario_config(scenario, {block: {key: value}})
+    build_scenario_config("optd", {"optd": {"latency_noise": 0.0}})
 
 
 def test_flag_overrides_apply():
@@ -250,7 +267,7 @@ def test_cli_exit_codes(tmp_path):
     assert main(["select", "--budget", "0.5", "--out", str(tmp_path / "r")]) == 3
     assert not (tmp_path / "r").exists()
 
-    # configuration errors found only when the scenario runs still exit 2
+    # errors found by the cross-key checks (query, schema, schema file) exit 2
     dup = tmp_path / "dup.yaml"
     dup.write_text("optd: {query: {relations: [A, A], joins: []}}\n")
     assert main(["optd", "--config", str(dup), "--out", str(tmp_path / "d")]) == 2
@@ -265,6 +282,53 @@ def test_cli_exit_codes(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-scenario"])
     assert exc.value.code == 2
+
+
+NULL_SELECTIVITIES = """optd:
+  catalog:
+    relations:
+      A: {true_rows: 1.0, est_rows: 1.0}
+      B: {true_rows: 1.0, est_rows: 1.0}
+      C: {true_rows: 1.0, est_rows: 1.0}
+      D: {true_rows: 1.0, est_rows: 1.0}
+    selectivities: null
+"""
+
+# (arguments, config file text or None); {tmp} is the test's directory
+CONFIG_ERRORS = {
+    "missing net": (["gate", "--net", "{tmp}/none.npz"], None),
+    "net width": (["gate", "--net", "{tmp}/two_attrs.npz"], None),
+    "empty net file": (["gate", "--net", "{tmp}/empty.npz"], None),
+    "net with k_max 0": (["gate", "--net", "{tmp}/k_max_0.npz"], None),
+    "bool windows": (["cc-sim"], "cc_sim: {phases: [{windows: true}]}"),
+    "unknown kind": (["gate"], "gate: {schema: {attributes: [{name: a, kind: weird}]}}"),
+    "null schema": (["gate"], "gate: {schema: null}"),
+    "missing schema file": (["gate", "--schema", "{tmp}/none.yaml"], None),
+    "unparsable predicate": (["gate", "--predicate", "age = 24 = 30"], None),
+    "null joins": (["optd"], "optd: {query: {relations: [A, B], joins: null}}"),
+    "null selectivities": (["optd"], NULL_SELECTIVITIES),
+    "negative hidden_dim": (["gate"], "gate: {hidden_dim: -1}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
+def test_config_errors_exit_2_before_running(case, tmp_path):
+    args, text = CONFIG_ERRORS[case]
+    args = [arg.format(tmp=tmp_path) for arg in args]
+    if text is not None:
+        (tmp_path / "c.yaml").write_text(text)
+        args += ["--config", str(tmp_path / "c.yaml")]
+    two_attrs = Schema.from_dict({"attributes": [
+        {"name": "a", "kind": "numeric"}, {"name": "b", "kind": "numeric"}]})
+    GatingNet.random(two_attrs, 3).save(tmp_path / "two_attrs.npz")
+    (tmp_path / "empty.npz").write_bytes(b"")
+    GatingNet.random(Schema.from_dict(DEFAULTS["gate"]["schema"]), 3).save(tmp_path / "net.npz")
+    net = dict(np.load(tmp_path / "net.npz"), k_max=np.int64(0))
+    np.savez(tmp_path / "k_max_0.npz", **net)
+    out = tmp_path / "out"
+    assert main(args + ["--validate-only", "--out", str(out)]) == 2
+    assert main(args + ["--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_validate_only_runs_nothing(tmp_path, capsys):
@@ -282,6 +346,9 @@ def test_shipped_config_validates(path, capsys):
     scenario = yaml.safe_load(path.read_text())["scenario"]
     assert main([scenario, "--config", str(path), "--validate-only"]) == 0
     assert capsys.readouterr().out.strip() == "config ok"
+    # --seed overrides the config's own seed
+    assert main([scenario, "--config", str(path), "--seed", "3", "--validate-only"]) == 0
+    assert build_scenario_config(scenario, load_config_file(path), seed=3).seed == 3
 
 
 def test_shipped_optd_config_runs(tmp_path):
