@@ -116,12 +116,15 @@ class TxnSeal:
 
 
 class _SealIndex(NamedTuple):
-    """What the replay check needs from a log's records, derived in one pass."""
+    """What the replay check needs from a log's records, derived in one pass,
+    and the seal verdicts reached on those records under `enclave`."""
 
     ordered: bool       # every record's lsn equals its position
     seals: list         # every TxnSeal, in record order
     by_first: list      # the non-empty seals by first_lsn, record order on ties
     reach: list         # reach[j]: the largest last_lsn in by_first[:j + 1]
+    enclave: EnclaveSim  # the signer the verdicts were reached under
+    verdicts: dict      # seal lsn -> _seal_ok result, filled as seals are checked
 
 
 def _check_key(key: str) -> str:
@@ -145,9 +148,14 @@ class RedoLog:
         self._key_anchors: dict[str, list[int]] = {}
         # _seal_index() derives this from `records`; _indexed is what it saw
         self._indexed: list = []
-        self._index = _SealIndex(True, [], [], [])
+        self._index = _SealIndex(True, [], [], [], enclave, {})
+        # running totals of _range_digest's work; recover reports its share
+        self._seals_hashed = 0
+        self._bytes_hashed = 0
         self.last_replay_count = 0
         self.last_seals_verified = 0
+        self.last_seals_hashed = 0
+        self.last_bytes_scanned = 0
 
     # -- append side --------------------------------------------------------
 
@@ -184,10 +192,15 @@ class RedoLog:
 
     def _range_digest(self, txn_id: int, first: int, last: int) -> str:
         h = hashlib.sha256(f"seal:{txn_id}".encode())
+        scanned = 0
         if first >= 0:
             for lsn in range(first, last + 1):
+                line = self.records[lsn].line().encode()
                 h.update(b"\n")
-                h.update(self.records[lsn].line().encode())
+                h.update(line)
+                scanned += len(line)
+        self._seals_hashed += 1
+        self._bytes_hashed += scanned
         return h.hexdigest()
 
     # -- verification ---------------------------------------------------------
@@ -195,16 +208,21 @@ class RedoLog:
     def verify_log(self) -> bool:
         """True iff lsns are gap-free and every seal checks out."""
         index = self._seal_index()
-        return index.ordered and all(self._seal_ok(seal) for seal in index.seals)
+        return index.ordered and all(self._verdict(index, seal)
+                                     for seal in index.seals)
 
     def _seal_index(self) -> _SealIndex:
         """The _SealIndex of `records`, rebuilt only when `records` no longer
-        equals the shallow copy taken at the last build. List equality checks
-        identity first, so an unchanged log costs one pass of pointer
-        compares, while any in-memory edit (replace, pop, insert, append)
-        triggers a rebuild."""
+        equals the shallow copy taken at the last build or `enclave` is no
+        longer the object it was built under. List equality checks identity
+        first, so an unchanged log costs one pass of pointer compares, while
+        any in-memory edit (replace, pop, insert, append) triggers a rebuild.
+        The seal verdicts live in the index, so each seal is verified at most
+        once per log state and the verdicts are dropped with the index:
+        records are frozen, so equal records give an equal verdict, and a
+        verdict reached under one MAC key never answers for another."""
         records = self.records
-        if records != self._indexed:
+        if records != self._indexed or self.enclave is not self._index.enclave:
             seals = [rec for rec in records if isinstance(rec, TxnSeal)]
             by_first = sorted((s for s in seals if s.first_lsn >= 0),
                               key=attrgetter("first_lsn"))
@@ -214,16 +232,27 @@ class RedoLog:
                 reach.append(top)
             self._index = _SealIndex(
                 all(rec.lsn == i for i, rec in enumerate(records)), seals,
-                by_first, reach)
+                by_first, reach, self.enclave, {})
             self._indexed = list(records)
         return self._index
 
+    def _verdict(self, index: _SealIndex, seal: TxnSeal) -> bool:
+        """`_seal_ok(seal)`, cached in `index`. Only called once
+        `index.ordered` holds, so seal lsns are distinct positions."""
+        ok = index.verdicts.get(seal.lsn)
+        if ok is None:
+            ok = index.verdicts[seal.lsn] = self._seal_ok(seal)
+        return ok
+
     def _seal_ok(self, seal: TxnSeal) -> bool:
-        if seal.first_lsn >= 0:
-            if seal.last_lsn < seal.first_lsn or seal.last_lsn >= len(self.records):
+        if seal.first_lsn < 0:
+            # an empty range's digest binds only the txn id, not the -1/-1
+            if (seal.first_lsn, seal.last_lsn) != (-1, -1):
                 return False
-            if seal.last_lsn >= seal.lsn:    # seal must follow its entries
-                return False
+        elif seal.last_lsn < seal.first_lsn or seal.last_lsn >= len(self.records):
+            return False
+        elif seal.last_lsn >= seal.lsn:    # seal must follow its entries
+            return False
         recomputed = self._range_digest(seal.txn_id, seal.first_lsn, seal.last_lsn)
         if recomputed != seal.digest:
             return False
@@ -265,12 +294,18 @@ class RedoLog:
         each record is appended or loaded. The lsn check and the seal lookup
         read an index built once per log state (see `_seal_index`, one extra
         pointer per record), so a recovery costs the seals in its range, not
-        the log length. `last_replay_count` and `last_seals_verified` report
-        the replayed entries and verified seals.
+        the log length. Each seal is verified at most once per log state:
+        its verdict is kept in the index, which `verify_log` shares, and is
+        dropped when the index is rebuilt. `last_replay_count` and
+        `last_seals_verified` report the replayed entries and the seals
+        checked; `last_seals_hashed` and `last_bytes_scanned` report the
+        seals whose digest this call recomputed and the bytes of entry lines
+        it hashed for them, both 0 when every verdict was already known.
         """
         base, redo_lsns = self.replay_plan(key)
         anchors = self._key_anchors.get(key, [])
         touched = ([anchors[-1]] if anchors else []) + redo_lsns
+        hashed, scanned = self._seals_hashed, self._bytes_hashed
         verified = 0
         if touched:
             lo, hi = min(touched), max(touched)
@@ -281,6 +316,8 @@ class RedoLog:
             value, version = entry.new_value, entry.mod_index
         self.last_replay_count = len(redo_lsns)
         self.last_seals_verified = verified
+        self.last_seals_hashed = self._seals_hashed - hashed
+        self.last_bytes_scanned = self._bytes_hashed - scanned
         return Record(key, value, version, compute_checksum(key, value, version))
 
     def _check_replay_range(self, lo: int, hi: int, touched: list[int]) -> int:
@@ -299,7 +336,7 @@ class RedoLog:
         overlapping.sort(key=attrgetter("lsn"))
         covered: set[int] = set()
         for rec in overlapping:
-            if not self._seal_ok(rec):
+            if not self._verdict(index, rec):
                 raise RecoveryRefused(f"seal at lsn {rec.lsn} failed verification")
             covered.update(range(rec.first_lsn, rec.last_lsn + 1))
         missing = [l for l in touched if l not in covered]

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -118,25 +119,55 @@ def test_flipped_signature_detected():
     assert not log.verify_log()
 
 
-def test_exhaustive_bit_flips_detected():
-    log = make_log(n=2)
-    append_and_seal(log, 1, [("x", 5), ("y", 6)])
-    append_and_seal(log, 2, [("x", 7)])
+def missed_flips(log):
+    """Every (byte, bit) of the serialized log whose flip neither fails to
+    load nor fails `verify_log()` after loading."""
     raw = log.to_text().encode()
-    enclave = log.enclave
-
+    missed = []
     for byte_idx in range(len(raw)):
         for bit in range(8):
             mutated = bytearray(raw)
             mutated[byte_idx] ^= 1 << bit
-            detected = False
             try:
                 text = bytes(mutated).decode("utf-8")
-                reloaded = RedoLog.from_text(text, enclave)
-                detected = not reloaded.verify_log()
+                if RedoLog.from_text(text, log.enclave).verify_log():
+                    missed.append((byte_idx, bit))
             except (LogCorrupt, UnicodeDecodeError):
-                detected = True
-            assert detected, f"flip at byte {byte_idx} bit {bit} went unnoticed"
+                pass
+    return missed
+
+
+def test_exhaustive_bit_flips_detected():
+    log = make_log(n=2)
+    append_and_seal(log, 1, [("x", 5), ("y", 6)])
+    append_and_seal(log, 2, [("x", 7)])
+    assert missed_flips(log) == []
+
+
+def test_exhaustive_bit_flips_detected_with_empty_seal():
+    """A read-only commit's seal covers the range -1/-1, which its digest
+    does not bind: a flip of either bound must still be caught."""
+    log = make_log(n=2)
+    append_and_seal(log, 1, [("x", 5), ("y", 6)])
+    append_and_seal(log, 2, [])
+    append_and_seal(log, 3, [("x", 7)])
+    assert [rec.lsn for rec in log.records
+            if isinstance(rec, TxnSeal) and rec.last_lsn == -1] == [3]
+    assert missed_flips(log) == []
+
+
+def test_empty_seal_with_rewritten_range_fails():
+    log = make_log()
+    append_and_seal(log, 1, [("x", 5)])
+    append_and_seal(log, 2, [])
+    seal = log.records[-1]
+    for first, last in ((-7, 1), (-1, 0), (-3, -1), (-1, -2)):
+        log.records[-1] = dataclasses.replace(seal, first_lsn=first, last_lsn=last)
+        assert not log.verify_log()
+        loaded = RedoLog.from_text(log.to_text(), log.enclave)
+        assert not loaded.verify_log()
+    log.records[-1] = seal
+    assert log.verify_log()
 
 
 def test_detect_tamper_cases():
@@ -207,6 +238,39 @@ def test_recover_refused_when_replayed_range_tampered():
     log.records[2] = RedoEntry(entry.lsn, entry.txn_id, entry.key, 999, entry.mod_index)
     with pytest.raises(RecoveryRefused):
         log.recover("x")
+
+
+def test_record_edit_drops_cached_verdicts():
+    log = make_log(n=4)
+    for i in range(1, 7):
+        append_and_seal(log, i, [("x", i), (f"k{i % 3}", i)])
+    assert log.verify_log()
+    log.recover("x")
+    lsn = log.replay_plan("x")[1][-1]
+    original = log.records[lsn]
+    log.records[lsn] = dataclasses.replace(original, new_value=999)
+    assert not log.verify_log()
+    with pytest.raises(RecoveryRefused):
+        log.recover("x")
+    log.records[lsn] = original
+    assert log.verify_log()
+    assert log.recover("x").value == 6
+
+
+def test_enclave_change_drops_cached_verdicts():
+    log = make_log(n=4, seed=1)
+    for i in range(1, 7):
+        append_and_seal(log, i, [("x", i)])
+    enclave = log.enclave
+    assert log.verify_log()
+    log.recover("x")
+    log.enclave = EnclaveSim(seed=2)
+    assert not log.verify_log()
+    with pytest.raises(RecoveryRefused):
+        log.recover("x")
+    log.enclave = enclave
+    assert log.verify_log()
+    assert log.recover("x").value == 6
 
 
 def test_recover_refused_for_unsealed_injected_entry():
@@ -364,6 +428,39 @@ MUTATIONS = ("value", "value", "value", "range", "swap", "duplicate",
              "append", "append", "pop", "lsn")
 
 
+EVENTS = st.lists(
+    st.one_of(
+        st.tuples(st.just("txn"),
+                  st.lists(st.tuples(st.sampled_from(ORACLE_KEYS),
+                                     st.integers(0, 99)), max_size=3)),
+        st.tuples(st.just("seal"), st.integers(0, 7)),
+    ),
+    min_size=12, max_size=40,
+)
+
+
+def interleaved_log(n, events, seal_rest):
+    """A log whose txns are registered, appended and sealed in the order
+    `events` gives: a seal may trail later txns' entries, a txn may write
+    nothing, and unless `seal_rest` the txns never sealed stay unsealed.
+    Returns the log and the last txn id used."""
+    log = make_log(n=n)
+    pending, txn_id = [], 0
+    for kind, arg in events:
+        if kind == "txn":
+            txn_id += 1
+            log.register_txn(txn_id)
+            for key, value in arg:
+                log.append_redo(txn_id, key, value)
+            pending.append(txn_id)
+        elif pending:
+            log.seal_txn(pending.pop(arg % len(pending)))
+    if seal_rest:
+        for tid in pending:
+            log.seal_txn(tid)
+    return log, txn_id
+
+
 def mutate(log, kind, at, other, fresh_txn):
     records = log.records
     if kind == "append":
@@ -405,15 +502,7 @@ def mutate(log, kind, at, other, fresh_txn):
 @settings(max_examples=250, deadline=None)
 @given(
     n=st.sampled_from([1, 2, 4]),
-    events=st.lists(
-        st.one_of(
-            st.tuples(st.just("txn"),
-                      st.lists(st.tuples(st.sampled_from(ORACLE_KEYS),
-                                         st.integers(0, 99)), max_size=3)),
-            st.tuples(st.just("seal"), st.integers(0, 7)),
-        ),
-        min_size=12, max_size=40,
-    ),
+    events=EVENTS,
     seal_rest=st.booleans(),
     rounds=st.lists(
         st.lists(st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 10**6),
@@ -426,21 +515,7 @@ def test_recover_matches_whole_log_rescan(n, events, seal_rest, rounds):
     interleaved, partly unsealed logs tampered in memory between
     recoveries: the same record, replay count and seals verified, or the
     same refusal message."""
-    log = make_log(n=n)
-    pending, txn_id = [], 0
-    for kind, arg in events:
-        if kind == "txn":
-            txn_id += 1
-            log.register_txn(txn_id)
-            for key, value in arg:
-                log.append_redo(txn_id, key, value)
-            pending.append(txn_id)
-        elif pending:   # seals may trail later txns' entries
-            log.seal_txn(pending.pop(arg % len(pending)))
-    if seal_rest:
-        for tid in pending:
-            log.seal_txn(tid)
-
+    log, txn_id = interleaved_log(n, events, seal_rest)
     keys = list(ORACLE_KEYS) + ["ghost"]
     for mutations in rounds + [[]]:
         for key in keys:
@@ -450,6 +525,52 @@ def test_recover_matches_whole_log_rescan(n, events, seal_rest, rounds):
         for kind, at, other in mutations:
             txn_id += 1
             mutate(log, kind, at, other, txn_id)
+
+
+def recovery_pass(log, verify_first):
+    """Count the `_seal_ok` calls per seal lsn over an optional
+    `verify_log()` followed by `recover` on every key; also return each
+    recovery's (seals verified, seals hashed, bytes scanned)."""
+    calls = Counter()
+    seal_ok = log._seal_ok
+
+    def counting(seal):
+        calls[seal.lsn] += 1
+        return seal_ok(seal)
+
+    log._seal_ok = counting
+    if verify_first:
+        assert log.verify_log()
+    reports = []
+    for key in list(ORACLE_KEYS) + ["ghost"]:
+        log.recover(key)
+        reports.append((log.last_seals_verified, log.last_seals_hashed,
+                        log.last_bytes_scanned))
+    return calls, reports
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.sampled_from([1, 2, 4]), events=EVENTS)
+def test_each_seal_verified_once(n, events):
+    """verify_log() then a recovery of every key checks each seal exactly
+    once; recoveries alone check each seal at most once. Both report the
+    same seals verified, and after verify_log() no recovery hashes."""
+    log, _ = interleaved_log(n, events, seal_rest=True)
+    seals = [rec for rec in log.records if isinstance(rec, TxnSeal)]
+    warm_calls, warm = recovery_pass(log, verify_first=True)
+    assert warm_calls == Counter(seal.lsn for seal in seals)
+    assert all(hashed == scanned == 0 for _, hashed, scanned in warm)
+
+    cold_log, _ = interleaved_log(n, events, seal_rest=True)
+    cold_calls, cold = recovery_pass(cold_log, verify_first=False)
+    assert set(cold_calls.values()) <= {1}
+    assert [r[0] for r in cold] == [r[0] for r in warm]
+    # every seal is intact, so each check recomputes its digest
+    assert sum(r[1] for r in cold) == len(cold_calls)
+    assert sum(r[2] for r in cold) == sum(
+        len(cold_log.records[lsn].line())
+        for seal in seals if seal.lsn in cold_calls
+        for lsn in range(seal.first_lsn, seal.last_lsn + 1))
 
 
 def scanned_maps(records):
