@@ -12,7 +12,7 @@ throughput while discouraging wasted work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import rng as rnglib
 from .engine import COLD, HOT, READ, WRITE, CCAction, Engine, ExecStats, WorkloadSpec
@@ -217,13 +217,9 @@ def refine_phase(strategy: CCStrategy, evaluator, rounds: int,
     if rounds <= 0:
         return strategy
     order = list(cells) if cells else strategy.cells()
-    current = strategy
-    current_reward = None
+    current, current_reward = strategy, evaluator(strategy)
     for i in range(rounds):
-        cell = order[i % len(order)]
-        if current_reward is None:
-            current_reward = evaluator(current)
-        cand = current.flipped(cell)
+        cand = current.flipped(order[i % len(order)])
         cand_reward = evaluator(cand)
         if cand_reward >= current_reward:
             current, current_reward = cand, cand_reward
@@ -293,10 +289,7 @@ class OnlineAdapter:
 
     def _adapt(self, state: SystemState, workload: WorkloadSpec) -> AdaptationEvent:
         probe_seed = rnglib.child_seed(self.seed, "probe", len(self.events))
-        probe_spec = WorkloadSpec(
-            key_space=workload.key_space, zipf_theta=workload.zipf_theta,
-            write_frac=workload.write_frac, txn_len=workload.txn_len,
-            arrival_rate=workload.arrival_rate, seed=probe_seed)
+        probe_spec = replace(workload, seed=probe_seed)
         probes = 0
         memo: dict[CCStrategy, float] = {}
 

@@ -16,6 +16,7 @@ validation at commit. A transaction may mix both.
 from __future__ import annotations
 
 import hashlib
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -119,9 +120,8 @@ class TxnOp:
 
 @dataclass
 class Txn:
-    txn_id: int
+    txn_id: int                # ids rise in begin order: higher is younger
     ops: list[TxnOp]
-    begin_seq: int
     status: str = ACTIVE
     abort_reason: str | None = None
     next_op: int = 0
@@ -208,14 +208,14 @@ class Engine:
         self.active: dict[int, Txn] = {}
         # key -> number of active txns holding a buffered write to it
         self._write_intents: dict[str, int] = {}
-        self._begin_seq = 0
+        self._last_txn_id = 0
         self._reset_access_counts()
 
     # -- transaction lifecycle -------------------------------------------
 
     def begin(self, ops: list[TxnOp]) -> Txn:
-        self._begin_seq += 1
-        txn = Txn(txn_id=self._begin_seq, ops=ops, begin_seq=self._begin_seq)
+        self._last_txn_id += 1
+        txn = Txn(self._last_txn_id, ops)
         self.active[txn.txn_id] = txn
         return txn
 
@@ -233,24 +233,19 @@ class Engine:
             raise ValueError("ops remain unexecuted")
 
         # An optimistic write may not slip under a key another active txn
-        # still holds locked; committing anyway would break 2PL readers.
-        for key in txn.write_versions:
-            holders = self.locks.get(key, {})
-            if any(t != txn.txn_id for t in holders):
-                self.abort(txn, "conflict")
-                return CommitResult(ABORTED, "conflict")
-
-        # Backward validation of the optimistic footprint.
-        for key, ver in {**txn.read_versions, **txn.write_versions}.items():
-            if self.store.read(key).version != ver:
-                self.abort(txn, "conflict")
-                return CommitResult(ABORTED, "conflict")
+        # still holds locked (committing anyway would break 2PL readers);
+        # then backward validation of the optimistic footprint.
+        footprint = {**txn.read_versions, **txn.write_versions}
+        if (any(self._blockers(txn, key, "X") for key in txn.write_versions)
+                or any(self.store.read(key).version != ver for key, ver in footprint.items())):
+            self.abort(txn, "conflict")
+            return CommitResult(ABORTED, "conflict")
 
         if self.log is not None:
             self.log.register_txn(txn.txn_id)
-        # Install in first-write order; one version bump per key.
-        for key in self._install_order(txn):
-            rec = self.store.install(key, txn.buffered[key])
+        # Install in first-write order (the buffer's); one version bump per key.
+        for key, value in txn.buffered.items():
+            rec = self.store.install(key, value)
             if self.log is not None:
                 self.log.append_redo(txn.txn_id, key, rec.value)
         if self.log is not None:
@@ -276,24 +271,25 @@ class Engine:
 
     def _attempt_locked(self, txn: Txn, op: TxnOp) -> OpOutcome:
         mode = "X" if op.kind == WRITE else "S"
-        if not self._acquirable(txn, op.key, mode):
+        blockers = self._blockers(txn, op.key, mode)
+        if blockers:
             txn.op_wait += 1
-            blockers = self._blockers(txn, op.key, mode)
             self.waits_for[txn.txn_id] = blockers
             victim = self._find_deadlock_victim(txn.txn_id)
-            if victim is not None:
-                vic = self.active[victim]
-                self.abort(vic, "deadlock")
-                if vic is txn:
-                    return OpOutcome(OpStatus.ABORTED, txn.op_wait)
-            if not self._acquirable(txn, op.key, mode):
+            if victim is None:
+                return OpOutcome(OpStatus.BLOCKED, txn.op_wait)
+            vic = self.active[victim]
+            self.abort(vic, "deadlock")
+            if vic is txn:
+                return OpOutcome(OpStatus.ABORTED, txn.op_wait)
+            if self._blockers(txn, op.key, mode):
                 return OpOutcome(OpStatus.BLOCKED, txn.op_wait)
 
-        self.locks.setdefault(op.key, {})
-        cur = self.locks[op.key].get(txn.txn_id)
+        holders = self.locks.setdefault(op.key, {})
+        cur = holders.get(txn.txn_id)
         if cur != "X":  # never downgrade an exclusive lock
-            self.locks[op.key][txn.txn_id] = mode if cur is None else "X"
-        txn.locks[op.key] = self.locks[op.key][txn.txn_id]
+            holders[txn.txn_id] = mode if cur is None else "X"
+        txn.locks[op.key] = holders[txn.txn_id]
         self.waits_for.pop(txn.txn_id, None)
 
         self._perform(txn, op)
@@ -304,14 +300,9 @@ class Engine:
             return OpOutcome(OpStatus.WAITED, waited)
         return OpOutcome(OpStatus.OK)
 
-    def _acquirable(self, txn: Txn, key: str, mode: str) -> bool:
-        holders = self.locks.get(key, {})
-        others = {t: m for t, m in holders.items() if t != txn.txn_id}
-        if mode == "S":
-            return all(m == "S" for m in others.values())
-        return not others
-
     def _blockers(self, txn: Txn, key: str, mode: str) -> set[int]:
+        """Other holders of `key` whose locks conflict with `mode`; the lock
+        is acquirable iff there are none."""
         holders = self.locks.get(key, {})
         if mode == "S":
             return {t for t, m in holders.items() if t != txn.txn_id and m == "X"}
@@ -337,9 +328,7 @@ class Engine:
             return None
 
         cycle = dfs(start)
-        if cycle is None:
-            return None
-        return max(cycle, key=lambda t: self.active[t].begin_seq)
+        return None if cycle is None else max(cycle)
 
     # -- optimistic path --------------------------------------------------
 
@@ -357,7 +346,7 @@ class Engine:
         return OpOutcome(OpStatus.OK)
 
     def _contended(self, txn: Txn, key: str) -> bool:
-        if any(t != txn.txn_id for t in self.locks.get(key, {})):
+        if self._blockers(txn, key, "X"):
             return True
         own = 1 if key in txn.buffered else 0
         return self._write_intents.get(key, 0) > own
@@ -374,13 +363,6 @@ class Engine:
                 txn.reads.append((op.key, txn.buffered[op.key]))
             else:
                 txn.reads.append((op.key, self.store.read(op.key).value))
-
-    def _install_order(self, txn: Txn) -> list[str]:
-        order = []
-        for op in txn.ops:
-            if op.kind == WRITE and op.key in txn.buffered and op.key not in order:
-                order.append(op.key)
-        return order
 
     def _release_all(self, txn: Txn) -> None:
         for key in list(txn.locks):
@@ -443,13 +425,15 @@ class Engine:
         """Run one fixed-length window; `policy(kind, heat) -> CCAction` picks actions.
 
         The window lasts exactly int(duration) ticks. Transaction i arrives at
-        tick floor(i / arrival_rate) and is admitted when a worker slot frees
-        up; every op attempt and the commit each consume one tick per worker,
-        and a locked op owes lock_overhead extra service ticks. An aborted
-        attempt (deadlock victim or failed validation) re-enters the queue
-        and retries the same ops, so wasted optimistic work costs committed
-        throughput just like lock waiting does. Whatever is unfinished at the
-        cutoff is rolled back and counted as carryover.
+        tick floor(i / arrival_rate). Each tick, free worker slots admit the
+        arrived transactions in arrival order, then retries in abort order.
+        Every op attempt and the commit each consume one tick per worker, and
+        a locked op owes lock_overhead extra service ticks. An aborted attempt
+        (deadlock victim or failed validation) holds its slot for abort_cost
+        ticks of rollback and queues a retry of the same ops, so wasted
+        optimistic work costs committed throughput just like lock waiting
+        does. Whatever is unfinished at the cutoff is rolled back and counted
+        as carryover.
 
         Deterministic in (workload.seed, policy): transaction generation never
         consults engine state, so identical seeds produce identical streams
@@ -458,50 +442,47 @@ class Engine:
         if self.active:
             raise RuntimeError("engine not quiescent")
         ticks = int(duration)
-        pending: list[tuple[int, list[TxnOp]]] = []
-        if workload.arrival_rate > 0:
-            arrivals = []
-            i = 0
-            while int(i / workload.arrival_rate) < ticks:
-                arrivals.append(int(i / workload.arrival_rate))
-                i += 1
-            pending = list(zip(arrivals, self._gen_plans(workload, len(arrivals))))
+        arrivals: deque[tuple[int, list[TxnOp]]] = deque()
+        rate = workload.arrival_rate
+        if rate > 0:
+            times = []
+            while int(len(times) / rate) < ticks:
+                times.append(int(len(times) / rate))
+            arrivals.extend(zip(times, self._gen_plans(workload, len(times))))
+        retries: deque[list[TxnOp]] = deque()
+        held: deque[int] = deque()      # ticks at which rolled-back slots free up
 
         stats = ExecStats()
         self._reset_access_counts()
         running: list[Txn] = []
-        cooldowns: list[int] = []   # worker slots busy rolling back aborts
-
-        def finish_abort(txn: Txn, tick: int) -> None:
-            stats.aborted_count += 1
-            running.remove(txn)
-            if self.abort_cost > 0:
-                cooldowns.append(self.abort_cost)
-            pending.append((tick + 1, txn.ops))
-
         for tick in range(ticks):
-            cooldowns[:] = [c - 1 for c in cooldowns if c > 1]
-            for slot in list(pending):
-                if len(running) + len(cooldowns) >= self.max_workers:
-                    break
-                if slot[0] <= tick:
-                    pending.remove(slot)
-                    running.append(self.begin(slot[1]))
-            for txn in list(running):
-                if txn.status == ABORTED:
-                    finish_abort(txn, tick)
-                    continue
-                if txn.next_op < len(txn.ops):
-                    self._step_op(txn, policy, stats)
-                    if txn.status == ABORTED:
-                        finish_abort(txn, tick)
+            while held and held[0] <= tick:
+                held.popleft()
+            while len(running) + len(held) < self.max_workers:
+                if arrivals and arrivals[0][0] <= tick:
+                    ops = arrivals.popleft()[1]
+                elif retries:
+                    ops = retries.popleft()
                 else:
-                    res = self.validate_and_commit(txn)
-                    if res.status == COMMITTED:
-                        stats.committed_count += 1
-                        running.remove(txn)
+                    break
+                running.append(self.begin(ops))
+            still_running = []
+            for txn in running:
+                # a txn may already be a deadlock victim of another's step
+                if txn.status == ACTIVE:
+                    if txn.next_op < len(txn.ops):
+                        self._step_op(txn, policy, stats)
                     else:
-                        finish_abort(txn, tick)
+                        self.validate_and_commit(txn)
+                if txn.status == COMMITTED:
+                    stats.committed_count += 1
+                elif txn.status == ABORTED:
+                    stats.aborted_count += 1
+                    held.append(tick + self.abort_cost)
+                    retries.append(txn.ops)
+                else:
+                    still_running.append(txn)
+            running = still_running
 
         for txn in running:
             if txn.status == ABORTED:
@@ -509,7 +490,7 @@ class Engine:
             else:
                 self.abort(txn, "window_end")
                 stats.carryover_count += 1
-        stats.carryover_count += len(pending)
+        stats.carryover_count += len(arrivals) + len(retries)
 
         assert self.lock_table_empty(), "locks leaked past window end"
         assert not self._write_intents, "write intents leaked past window end"

@@ -364,6 +364,7 @@ def run_gate(params: dict, seed: int):
     return writer, summary, {}
 
 
+# also the order in which `full` runs them
 DRIVERS = {
     "select": run_select,
     "cc-sim": run_cc_sim,
@@ -372,17 +373,14 @@ DRIVERS = {
     "gate": run_gate,
 }
 
-FULL_ORDER = ("select", "cc-sim", "recover-demo", "optd", "gate")
-
 
 def run_scenario(config: ScenarioConfig, out_dir) -> dict:
     """Dispatch to the named driver(s) and persist metrics under out_dir."""
     out = Path(out_dir)
     if config.scenario == "full":
         writers, sections, extras = [], {}, {}
-        for name in FULL_ORDER:
-            writer, summary, files = DRIVERS[name](
-                config.full_params[BLOCK_OF[name]], config.seed)
+        for name, driver in DRIVERS.items():
+            writer, summary, files = driver(config.full_params[BLOCK_OF[name]], config.seed)
             writers.append(writer)
             sections[name] = summary
             extras.update(files)
@@ -394,7 +392,7 @@ def run_scenario(config: ScenarioConfig, out_dir) -> dict:
         return summary
 
     writer, summary, extras = DRIVERS[config.scenario](config.params, config.seed)
-    stem = config.scenario.replace("-", "_")
+    stem = BLOCK_OF[config.scenario]
     out.mkdir(parents=True, exist_ok=True)
     writer.write_csv(out / f"{stem}_metrics.csv")
     write_summary(out / f"{stem}_summary.json", dict(summary, seed=config.seed))

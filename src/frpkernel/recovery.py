@@ -300,24 +300,26 @@ class RedoLog:
         `last_seals_verified` report the replayed entries and the seals
         checked; `last_seals_hashed` and `last_bytes_scanned` report the
         seals whose digest this call recomputed and the bytes of entry lines
-        it hashed for them, both 0 when every verdict was already known.
+        it hashed for them, both 0 when every verdict was already known. A
+        refused call reports 0 replayed and 0 verified, and what it hashed.
         """
-        base, redo_lsns = self.replay_plan(key)
-        anchors = self._key_anchors.get(key, [])
-        touched = ([anchors[-1]] if anchors else []) + redo_lsns
+        self.last_replay_count = self.last_seals_verified = 0
         hashed, scanned = self._seals_hashed, self._bytes_hashed
-        verified = 0
-        if touched:
-            lo, hi = min(touched), max(touched)
-            verified = self._check_replay_range(lo, hi, touched)
+        try:
+            base, redo_lsns = self.replay_plan(key)
+            anchors = self._key_anchors.get(key, [])
+            touched = ([anchors[-1]] if anchors else []) + redo_lsns
+            if touched:
+                self.last_seals_verified = self._check_replay_range(
+                    min(touched), max(touched), touched)
+        finally:
+            self.last_seals_hashed = self._seals_hashed - hashed
+            self.last_bytes_scanned = self._bytes_hashed - scanned
         value, version = base.value, base.version
         for lsn in redo_lsns:
             entry: RedoEntry = self.records[lsn]
             value, version = entry.new_value, entry.mod_index
         self.last_replay_count = len(redo_lsns)
-        self.last_seals_verified = verified
-        self.last_seals_hashed = self._seals_hashed - hashed
-        self.last_bytes_scanned = self._bytes_hashed - scanned
         return Record(key, value, version, compute_checksum(key, value, version))
 
     def _check_replay_range(self, lo: int, hi: int, touched: list[int]) -> int:

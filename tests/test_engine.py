@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import random
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +23,7 @@ from frpkernel.engine import (
     WorkloadSpec,
     compute_checksum,
 )
+from frpkernel.recovery import EnclaveSim, RedoLog
 from helpers import all_lock, all_optimistic, matches_some_serial_order, r, run_schedule, w
 
 LOCK = CCAction.LOCK_IMMEDIATE
@@ -346,3 +350,40 @@ def test_contended_matches_scan_of_active_buffers(plans, script):
         eng.abort(txn)
     assert eng.lock_table_empty()
     assert not eng._write_intents
+
+
+# -- pinned window schedules ----------------------------------------------------
+
+TABLES = [dict(zip(((READ, HOT), (READ, COLD), (WRITE, HOT), (WRITE, COLD)), acts))
+          for acts in itertools.product((LOCK, OPT), repeat=4)]
+
+
+def scheduler_digest() -> str:
+    """sha256 over the stats, final store and redo-log text of a fixed grid of
+    seeded windows: every (abort_cost, lock_overhead, max_workers,
+    arrival_rate) combination below under each of the 16 action tables."""
+    shapes = random.Random(8)
+    digest = hashlib.sha256()
+    grid = itertools.product((0, 1, 4), (0, 1), (1, 3, 16), (0.3, 1.5, 4.0), TABLES)
+    for abort_cost, lock_overhead, workers, rate, table in grid:
+        log = RedoLog(EnclaveSim(seed=3), anchor_every=2)
+        eng = Engine(log=log, max_workers=workers, hot_key_count=2,
+                     lock_overhead=lock_overhead, abort_cost=abort_cost)
+        policy = lambda kind, heat: table[(kind, heat)]  # noqa: E731
+        for _ in range(2):
+            spec = WorkloadSpec(key_space=shapes.randint(1, 8),
+                                zipf_theta=shapes.choice((0.0, 0.8, 1.2)),
+                                write_frac=shapes.choice((0.2, 0.5, 0.9)),
+                                txn_len=shapes.randint(1, 4), arrival_rate=rate,
+                                seed=shapes.randrange(2**16))
+            stats = eng.run_window(spec, policy, duration=shapes.randint(8, 16))
+            digest.update(repr(astuple(stats)).encode())
+        store = sorted((k, r.value, r.version) for k, r in eng.store.records.items())
+        digest.update(repr(store).encode())
+        digest.update(log.to_text().encode())
+    return digest.hexdigest()
+
+
+def test_window_schedules_match_pinned_digest():
+    assert scheduler_digest() == (
+        "ebbcd94be3bee0193f178e498f8e2b186da173966884be176382680475a3869c")

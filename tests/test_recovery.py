@@ -240,6 +240,26 @@ def test_recover_refused_when_replayed_range_tampered():
         log.recover("x")
 
 
+def test_refused_recover_reports_its_own_counters():
+    log = make_log(n=4)
+    for i in range(1, 4):
+        append_and_seal(log, i, [("x", i), ("y", i)])
+    log.recover("x")
+    assert (log.last_replay_count, log.last_seals_verified,
+            log.last_seals_hashed) == (3, 3, 3)
+    y_lsn = log.replay_plan("y")[1][-1]
+    log.records[y_lsn] = dataclasses.replace(log.records[y_lsn], new_value=99999)
+    with pytest.raises(RecoveryRefused):
+        log.recover("y")
+    # the edit dropped every verdict, so all three seals over y's range were
+    # rehashed, the tampered last one included; none was replayed or passed
+    redo_lines = [rec.line().encode() for rec in log.records
+                  if isinstance(rec, RedoEntry)]
+    assert (log.last_replay_count, log.last_seals_verified,
+            log.last_seals_hashed) == (0, 0, 3)
+    assert log.last_bytes_scanned == sum(map(len, redo_lines))
+
+
 def test_record_edit_drops_cached_verdicts():
     log = make_log(n=4)
     for i in range(1, 7):
