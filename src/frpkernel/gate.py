@@ -10,6 +10,7 @@ evaluate the experts that survived.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -21,6 +22,13 @@ PAD_TOKEN = 0
 
 CATEGORICAL = "categorical"
 NUMERIC = "numeric"
+
+# keywords match case-insensitively against the original text, so slices
+# stay aligned however case mapping changes a string's length
+_OR = re.compile(r"(?:^| )or(?: |$)", re.IGNORECASE)
+_AND = re.compile(r" and ", re.IGNORECASE)
+_BETWEEN = re.compile(r" between ", re.IGNORECASE)
+_RANGE = re.compile(r"(.*?) between (.*?) to (.*)", re.IGNORECASE | re.DOTALL)
 
 
 class UnsupportedQuery(ValueError):
@@ -99,15 +107,11 @@ class Schema:
 def encode_query(predicates, schema: Schema) -> np.ndarray:
     """Token-encode a conjunctive predicate set; absent attributes pad to 0.
 
-    `predicates` maps attribute name to either a scalar (equality) or a
-    (lo, hi) range, which lands in the bucket of its midpoint. Passing an
-    iterable of (name, value) pairs is also accepted and rejects duplicate
-    attributes.
+    `predicates` is an iterable of (name, value) pairs, as `parse_predicates`
+    returns them. A value is a scalar (equality) or a (lo, hi) range, which
+    lands in the bucket of its midpoint. Duplicate attributes are rejected.
     """
-    if isinstance(predicates, dict):
-        pairs = list(predicates.items())
-    else:
-        pairs = list(predicates)
+    pairs = list(predicates)
     names = [name for name, _ in pairs]
     if len(set(names)) != len(names):
         raise UnsupportedQuery("at most one predicate per attribute")
@@ -132,45 +136,24 @@ def parse_predicates(text: str) -> list[tuple[str, object]]:
     text = text.strip()
     if not text:
         return []
-    lowered = f" {text.lower()} "
-    if " or " in lowered:
+    if _OR.search(text):
         raise UnsupportedQuery("disjunctive predicates are unsupported")
     pairs: list[tuple[str, object]] = []
-    for clause in _split_ci(text, " and "):
+    for clause in _AND.split(text):
         clause = clause.strip()
         if not clause:
             raise UnsupportedQuery(f"empty clause in {text!r}")
         if "=" in clause:
             name, _, value = clause.partition("=")
             pairs.append((name.strip(), value.strip()))
-        elif " between " in clause.lower():
-            name, _, rest = _partition_ci(clause, " between ")
-            lo, _, hi = _partition_ci(rest, " to ")
-            if not hi:
-                raise UnsupportedQuery(f"range clause needs 'between LO to HI': {clause!r}")
+        elif match := _RANGE.fullmatch(clause):
+            name, lo, hi = match.groups()
             pairs.append((name.strip(), (float(lo), float(hi))))
+        elif _BETWEEN.search(clause):
+            raise UnsupportedQuery(f"range clause needs 'between LO to HI': {clause!r}")
         else:
             raise UnsupportedQuery(f"cannot parse clause {clause!r}")
     return pairs
-
-
-def _split_ci(text: str, sep: str) -> list[str]:
-    parts, lowered, needle = [], text.lower(), sep.lower()
-    start = 0
-    while True:
-        hit = lowered.find(needle, start)
-        if hit < 0:
-            parts.append(text[start:])
-            return parts
-        parts.append(text[start:hit])
-        start = hit + len(needle)
-
-
-def _partition_ci(text: str, sep: str):
-    hit = text.lower().find(sep.lower())
-    if hit < 0:
-        return text, "", ""
-    return text[:hit], sep, text[hit + len(sep):]
 
 
 def sparse_softmax(logits: np.ndarray, k_max: int, threshold: float) -> np.ndarray:

@@ -46,7 +46,6 @@ from ..plan_opt import (
     Query,
     RelStats,
     SelectorState,
-    edge_key,
     feedback,
     gen_candidates,
     select_plan,
@@ -282,7 +281,7 @@ def _build_catalog(cfg: dict) -> Catalog:
     sels = {}
     for entry in cfg.get("selectivities", []):
         a, b = entry["relations"]
-        sels[edge_key(a, b)] = (entry["true"], entry["est"])
+        sels[a, b] = (entry["true"], entry["est"])
     return Catalog(relations, sels)
 
 

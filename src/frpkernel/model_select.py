@@ -21,6 +21,11 @@ from dataclasses import dataclass, field
 
 from . import rng as rnglib
 
+POPULATION_SIZE = 16   # evolution queue length
+SAMPLE_SIZE = 4        # population members sampled per mutation step
+DEDUP_TRIES = 16       # random redraws for a duplicate before enumerating
+SCORE_LABEL = "proxy"  # RNG label of the scorer's noise stream
+
 
 class InfeasibleBudget(Exception):
     """The budget cannot pay for even one scored model and one training epoch."""
@@ -110,12 +115,11 @@ class ProxyScorer:
     rho: float = 1.0
     sigma: float = 0.0
     cost: float = 1.0
-    label: str = "proxy"
 
     def score(self, params: tuple[int, ...]) -> float:
         value = self.rho * self.space.a_final(params)
         if self.rho < 1.0:
-            noise = rnglib.derive(self.space.seed, "score", self.label, params)
+            noise = rnglib.derive(self.space.seed, "score", SCORE_LABEL, params)
             value += (1.0 - self.rho) * self.sigma * float(noise.standard_normal())
         return value
 
@@ -156,6 +160,23 @@ class Trainer:
         return base
 
 
+def halving_schedule(k: int, initial_epochs: int, eta: int) -> list[tuple[int, int]]:
+    """(models trained, epochs each) of every successive-halving round on k.
+
+    Each round keeps the top ceil(count / eta) and trains them eta times
+    longer; the schedule ends when one model would remain, e.g. k = 125,
+    eta = 5 gives [(125, 1), (25, 5), (5, 25)].
+    """
+    rounds = [(k, initial_epochs)]
+    while (k := -(-k // eta)) > 1:
+        rounds.append((k, rounds[-1][1] * eta))
+    return rounds
+
+
+def schedule_epochs(k: int, initial_epochs: int, eta: int) -> int:
+    return sum(count * epochs for count, epochs in halving_schedule(k, initial_epochs, eta))
+
+
 @dataclass(frozen=True)
 class SelectionPlan:
     budget: float
@@ -173,24 +194,15 @@ class SelectionPlan:
 
     @property
     def planned_refine_cost(self) -> float:
-        return refine_epoch_total(self.candidate_size, self.initial_epochs,
-                                  self.eta) * self.epoch_cost
+        return schedule_epochs(self.candidate_size, self.initial_epochs,
+                               self.eta) * self.epoch_cost
 
 
-def halving_rounds(k: int, eta: int) -> int:
-    if k <= 1:
-        return 1
-    return max(1, math.ceil(math.log(k, eta)))
-
-
-def refine_epoch_total(k: int, initial_epochs: int, eta: int) -> int:
-    """Exact epochs successive halving charges for k a power of eta."""
-    return k * initial_epochs * halving_rounds(k, eta)
-
-
-def plan_budget(budget: float, score_cost: float, epoch_cost: float,
+def plan_budget(budget: float, space_size: int, score_cost: float, epoch_cost: float,
                 eta: int = 2, filter_fraction: float = 0.2,
                 initial_epochs: int = 1) -> SelectionPlan:
+    """N models to score (at most the space size) and the largest eta-power
+    shortlist K <= N whose halving schedule fits the rest of the budget."""
     if budget <= 0 or score_cost <= 0 or epoch_cost <= 0:
         raise ValueError("budget and costs must be positive")
     if eta < 2:
@@ -198,26 +210,19 @@ def plan_budget(budget: float, score_cost: float, epoch_cost: float,
     if not 0.0 < filter_fraction < 1.0:
         raise ValueError("filter_fraction must be in (0, 1)")
 
-    n = int(filter_fraction * budget / score_cost)
+    n = min(int(filter_fraction * budget / score_cost), space_size)
     if n < 1:
         raise InfeasibleBudget("filter budget cannot pay for one score")
     refine_budget = (1.0 - filter_fraction) * budget
-    k = largest_feasible_k(n, refine_budget, epoch_cost, eta, initial_epochs)
-    if k is None:
-        raise InfeasibleBudget("refine budget cannot pay for one training run")
-    return SelectionPlan(budget, n, k, initial_epochs, eta, filter_fraction,
-                         score_cost, epoch_cost)
-
-
-def largest_feasible_k(n: int, refine_budget: float, epoch_cost: float,
-                       eta: int, initial_epochs: int) -> int | None:
-    best = None
-    k = 1
+    k, best = 1, None
     while k <= n:
-        if refine_epoch_total(k, initial_epochs, eta) * epoch_cost <= refine_budget:
+        if schedule_epochs(k, initial_epochs, eta) * epoch_cost <= refine_budget:
             best = k
         k *= eta
-    return best
+    if best is None:
+        raise InfeasibleBudget("refine budget cannot pay for one training run")
+    return SelectionPlan(budget, n, best, initial_epochs, eta, filter_fraction,
+                         score_cost, epoch_cost)
 
 
 @dataclass(frozen=True)
@@ -227,8 +232,7 @@ class ScoredModel:
 
 
 def explore_and_score(space: ModelSpace, scorer, n: int, workers: int = 1,
-                      seed: int = 0, population_size: int = 16,
-                      sample_size: int = 4) -> list[ScoredModel]:
+                      seed: int = 0) -> list[ScoredModel]:
     """Regularized evolution until n distinct genomes are scored.
 
     A queue-shaped population holds the most recent genomes; each step samples
@@ -254,17 +258,17 @@ def explore_and_score(space: ModelSpace, scorer, n: int, workers: int = 1,
         seen[params] = model.score
         scored.append(model)
         population.append(model)
-        if len(population) > population_size:
+        if len(population) > POPULATION_SIZE:
             population.pop(0)
 
     step = 0
     while len(scored) < n:
         gen = gens[step % workers]
         step += 1
-        if len(scored) < min(population_size, n):
+        if len(scored) < min(POPULATION_SIZE, n):
             admit(space.random_params(gen), gen)
             continue
-        picks = gen.choice(len(population), size=min(sample_size, len(population)),
+        picks = gen.choice(len(population), size=min(SAMPLE_SIZE, len(population)),
                            replace=False)
         parent = max((population[int(i)] for i in picks),
                      key=lambda m: (m.score, -m.genome.genome_id))
@@ -272,10 +276,10 @@ def explore_and_score(space: ModelSpace, scorer, n: int, workers: int = 1,
     return scored
 
 
-def _dedup(params, seen, space, gen, tries: int = 16):
+def _dedup(params, seen, space, gen):
     if params not in seen:
         return params
-    for _ in range(tries):
+    for _ in range(DEDUP_TRIES):
         cand = space.random_params(gen)
         if cand not in seen:
             return cand
@@ -304,11 +308,11 @@ class RefineOutcome:
 
 def refine(candidates: list[ScoredModel], initial_epochs: int, eta: int,
            trainer: Trainer) -> RefineOutcome:
-    """Successive halving with cumulative training.
+    """Successive halving with cumulative training, run by `halving_schedule`.
 
-    Round r trains every survivor initial_epochs * eta**r further epochs and
-    keeps the top ceil(count / eta) by current accuracy (ties toward lower
-    genome id), stopping once a single survivor remains.
+    After each round the survivors are cut to the next round's count, or to
+    one after the last round, keeping the best by current accuracy (ties
+    toward lower genome id).
     """
     if not candidates:
         raise ValueError("empty candidate set")
@@ -318,26 +322,22 @@ def refine(candidates: list[ScoredModel], initial_epochs: int, eta: int,
     history = [len(survivors)]
     id_history = [[g.genome_id for g in survivors]]
     epochs_charged = 0
-    round_epochs = initial_epochs
 
-    while True:
+    rounds = halving_schedule(len(survivors), initial_epochs, eta)
+    next_counts = [count for count, _ in rounds[1:]] + [1]
+    for (_, epochs), keep in zip(rounds, next_counts):
         for genome in survivors:
-            trained[genome.genome_id] += round_epochs
-            trainer.charge(round_epochs)
-            epochs_charged += round_epochs
+            trained[genome.genome_id] += epochs
+            trainer.charge(epochs)
+            epochs_charged += epochs
             accuracy[genome.genome_id] = trainer.accuracy(
                 genome.params, trained[genome.genome_id])
-        if len(survivors) == 1:
-            break
-        keep = math.ceil(len(survivors) / eta)
-        survivors = sorted(
-            survivors,
-            key=lambda g: (-accuracy[g.genome_id], g.genome_id))[:keep]
-        history.append(len(survivors))
-        id_history.append([g.genome_id for g in survivors])
-        if len(survivors) == 1:
-            break
-        round_epochs *= eta
+        if keep < len(survivors):
+            survivors = sorted(
+                survivors,
+                key=lambda g: (-accuracy[g.genome_id], g.genome_id))[:keep]
+            history.append(len(survivors))
+            id_history.append([g.genome_id for g in survivors])
 
     winner = survivors[0]
     return RefineOutcome(winner, epochs_charged, history, id_history,
@@ -360,15 +360,10 @@ def select(space: ModelSpace, scorer, trainer: Trainer, budget: float,
            eta: int = 2, filter_fraction: float = 0.2, initial_epochs: int = 1,
            workers: int = 1, seed: int = 0) -> SelectionResult:
     """Plan, score, shortlist, and halve; simulated cost never exceeds budget."""
-    plan = plan_budget(budget, scorer.cost, trainer.cost_per_epoch, eta,
-                       filter_fraction, initial_epochs)
+    plan = plan_budget(budget, space.size, scorer.cost, trainer.cost_per_epoch,
+                       eta, filter_fraction, initial_epochs)
     scored = explore_and_score(space, scorer, plan.n_to_score, workers, seed)
-
-    k = plan.candidate_size
-    if k > len(scored):  # space smaller than the planned shortlist
-        k = largest_feasible_k(len(scored), (1.0 - filter_fraction) * budget,
-                               trainer.cost_per_epoch, eta, initial_epochs)
-    candidates = take_candidates(scored, k)
+    candidates = take_candidates(scored, plan.candidate_size)
     outcome = refine(candidates, initial_epochs, eta, trainer)
 
     filter_cost = len(scored) * scorer.cost

@@ -76,7 +76,7 @@ class Query:
     @property
     def template_id(self) -> str:
         text = ",".join(sorted(self.relations)) + ";" + ",".join(
-            "-".join(edge_key(a, b)) for a, b in sorted(map(lambda e: edge_key(*e), self.joins)))
+            "-".join(edge) for edge in sorted(edge_key(a, b) for a, b in self.joins))
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 

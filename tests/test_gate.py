@@ -33,13 +33,13 @@ def demo_schema():
 
 def test_no_predicates_all_padding():
     schema = demo_schema()
-    enc = encode_query({}, schema)
+    enc = encode_query([], schema)
     assert enc.tolist() == [PAD_TOKEN] * schema.n_attrs
 
 
 def test_example_encoding_gender_and_age():
     schema = demo_schema()
-    enc = encode_query({"gender": "Male", "age": 24}, schema)
+    enc = encode_query([("gender", "Male"), ("age", 24)], schema)
     assert enc[0] == schema.token("gender", "Male")
     assert enc[1] == schema.token("age", 24)
     assert enc[2] == PAD_TOKEN
@@ -50,16 +50,16 @@ def test_example_encoding_gender_and_age():
 
 def test_values_in_same_bucket_encode_identically():
     schema = demo_schema()
-    assert (encode_query({"age": 24}, schema)
-            == encode_query({"age": 25}, schema)).all()
-    assert (encode_query({"age": 24}, schema)
-            != encode_query({"age": 31}, schema)).any()
+    assert (encode_query([("age", 24)], schema)
+            == encode_query([("age", 25)], schema)).all()
+    assert (encode_query([("age", 24)], schema)
+            != encode_query([("age", 31)], schema)).any()
 
 
 def test_range_predicate_uses_midpoint_bucket():
     schema = demo_schema()
-    assert (encode_query({"age": (20, 28)}, schema)
-            == encode_query({"age": 24}, schema)).all()
+    assert (encode_query([("age", (20, 28))], schema)
+            == encode_query([("age", 24)], schema)).all()
 
 
 def test_duplicate_attribute_rejected():
@@ -71,9 +71,9 @@ def test_duplicate_attribute_rejected():
 def test_unknown_attribute_and_value_rejected():
     schema = demo_schema()
     with pytest.raises(UnsupportedQuery):
-        encode_query({"height": 180}, schema)
+        encode_query([("height", 180)], schema)
     with pytest.raises(UnsupportedQuery):
-        encode_query({"gender": "Other"}, schema)
+        encode_query([("gender", "Other")], schema)
 
 
 def test_every_conjunctive_predicate_has_one_encoding():
@@ -87,7 +87,7 @@ def test_every_conjunctive_predicate_has_one_encoding():
     import itertools
 
     for combo in itertools.product(*choices.values()):
-        predicates = {k: v for k, v in zip(choices, combo) if v is not None}
+        predicates = [(k, v) for k, v in zip(choices, combo) if v is not None]
         enc = tuple(encode_query(predicates, schema).tolist())
         assert len(enc) == schema.n_attrs
         seen.add(enc)
@@ -106,6 +106,15 @@ def test_parse_predicates_strings():
         parse_predicates("gender = Male OR age = 24")
     with pytest.raises(UnsupportedQuery):
         parse_predicates("gender Male")
+
+
+def test_parse_predicates_slices_clauses_where_lowercasing_changes_length():
+    # "İ".lower() is two characters long, so offsets found in lowered text
+    # would cut the original one character late
+    assert parse_predicates("city = İstanbul AND age = 3") == [
+        ("city", "İstanbul"), ("age", "3")]
+    assert parse_predicates("city = İİ and age BETWEEN 1 To 3") == [
+        ("city", "İİ"), ("age", (1.0, 3.0))]
 
 
 # -- sparse softmax ---------------------------------------------------------------
@@ -162,7 +171,7 @@ def test_weights_always_on_simplex_and_sparse(logits, k_max, threshold):
 def test_gate_is_pure():
     schema = demo_schema()
     net = GatingNet.random(schema, n_experts=4, seed=1)
-    enc = encode_query({"gender": "Female"}, schema)
+    enc = encode_query([("gender", "Female")], schema)
     first = gate(enc, net)
     for _ in range(5):
         assert (gate(enc, net) == first).all()
@@ -175,7 +184,7 @@ def test_zero_net_gives_uniform_weights():
     net.b1[:] = 0.0
     net.w2[:] = 0.0
     net.b2[:] = 0.0
-    w = gate(encode_query({"age": 24}, schema), net)
+    w = gate(encode_query([("age", 24)], schema), net)
     assert np.allclose(w, 0.2)
 
 
@@ -192,10 +201,10 @@ def test_hand_built_net_routes_token_to_expert():
     w2[schema.token("gender", "Female"), 1] = 50.0
     net = GatingNet(embed, w1, b1, w2, np.zeros(2), k_max=2, threshold=0.05)
 
-    w_male = gate(encode_query({"gender": "Male"}, schema), net)
+    w_male = gate(encode_query([("gender", "Male")], schema), net)
     assert w_male[0] == pytest.approx(1.0)
     assert w_male[1] == 0.0
-    w_female = gate(encode_query({"gender": "Female"}, schema), net)
+    w_female = gate(encode_query([("gender", "Female")], schema), net)
     assert w_female[1] == pytest.approx(1.0)
 
 
@@ -212,7 +221,7 @@ def test_net_roundtrip_through_file(tmp_path):
     path = tmp_path / "net.npz"
     net.save(path)
     loaded = GatingNet.load(path)
-    enc = encode_query({"region": "south", "age": 50}, schema)
+    enc = encode_query([("region", "south"), ("age", 50)], schema)
     assert (gate(enc, loaded) == gate(enc, net)).all()
     assert loaded.k_max == 3 and loaded.threshold == 0.1
 
@@ -245,11 +254,11 @@ def test_sliced_equals_dense_mixture():
 
     gen = rnglib.derive(3, "gate-test")
     for _ in range(200):
-        predicates = {}
+        predicates = []
         if gen.random() < 0.7:
-            predicates["age"] = float(gen.uniform(0, 80))
+            predicates.append(("age", float(gen.uniform(0, 80))))
         if gen.random() < 0.5:
-            predicates["gender"] = ["Male", "Female"][int(gen.integers(2))]
+            predicates.append(("gender", ["Male", "Female"][int(gen.integers(2))]))
         enc = encode_query(predicates, schema)
         weights = gate(enc, net)
         x = gen.normal(0, 1, 4)

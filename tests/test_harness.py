@@ -1,3 +1,4 @@
+import hashlib
 import threading
 from pathlib import Path
 
@@ -236,6 +237,23 @@ def test_scenario_rerun_is_byte_identical(tmp_path):
                  "--out", str(out_b)]) == 0
     for name in ("cc_sim_metrics.csv", "cc_sim_summary.json"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+# sha256 of each `frp-kernel full --seed 0` output file. A refactor must
+# leave these bytes alone; a change that alters them on purpose updates the
+# digests and says why in CHANGES.md.
+FULL_SEED0_SHA256 = {
+    "full_metrics.csv": "bcb1c5deaf9b7d33a0201646c0c2209962d3ba5f98f90da0f630bdb5a2b3a0cf",
+    "full_summary.json": "e09af311d33a39f0bf89d23023f2ec851fc19d01fad69a540840d7610ba89d86",
+    "redo_log.txt": "9cb59a6f8a9e26cb5e86dfe2f73d5cec6b8bf2a5172a9ef6afb56e544c7aacc1",
+}
+
+
+def test_full_seed0_outputs_match_pinned_digests(tmp_path):
+    assert main(["full", "--seed", "0", "--out", str(tmp_path)]) == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.iterdir()}
+    assert digests == FULL_SEED0_SHA256
 
 
 def test_full_concatenates_individual_sections(tmp_path):

@@ -1,7 +1,8 @@
+import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frpkernel.model_select import (
@@ -11,13 +12,18 @@ from frpkernel.model_select import (
     ScoredModel,
     Trainer,
     explore_and_score,
+    halving_schedule,
     oracle_regret,
     plan_budget,
     refine,
-    refine_epoch_total,
+    schedule_epochs,
     select,
     take_candidates,
 )
+
+
+# a space size large enough never to cap the planned number of scores
+UNCAPPED = 10**6
 
 
 def small_space(seed=0, dims=(3, 3, 3), tau_range=(2.0, 8.0)):
@@ -91,7 +97,7 @@ def test_training_curve_starts_at_zero_and_saturates():
 # -- plan_budget -------------------------------------------------------------
 
 def test_plan_boundary_single_score_single_epoch():
-    plan = plan_budget(2.0, score_cost=1.0, epoch_cost=1.0, filter_fraction=0.5)
+    plan = plan_budget(2.0, UNCAPPED, score_cost=1.0, epoch_cost=1.0, filter_fraction=0.5)
     assert (plan.n_to_score, plan.candidate_size) == (1, 1)
     assert plan.planned_filter_cost + plan.planned_refine_cost <= 2.0
 
@@ -100,7 +106,7 @@ def test_plan_two_hour_budget():
     # 7200 time units, 2 per score, 30 per epoch: frozen from the planner rules
     # N = floor(0.2 * 7200 / 2) and the largest eta-power K whose halving
     # epochs fit the remaining 5760.
-    plan = plan_budget(7200.0, score_cost=2.0, epoch_cost=30.0,
+    plan = plan_budget(7200.0, UNCAPPED, score_cost=2.0, epoch_cost=30.0,
                        eta=2, filter_fraction=0.2)
     assert plan.n_to_score == 720
     assert plan.candidate_size == 32
@@ -109,17 +115,28 @@ def test_plan_two_hour_budget():
 
 def test_plan_doubling_budget_doubles_n():
     for budget in (50.0, 130.0, 777.0):
-        n1 = plan_budget(budget, 1.0, 1.0).n_to_score
-        n2 = plan_budget(2 * budget, 1.0, 1.0).n_to_score
+        n1 = plan_budget(budget, UNCAPPED, 1.0, 1.0).n_to_score
+        n2 = plan_budget(2 * budget, UNCAPPED, 1.0, 1.0).n_to_score
         assert n2 >= 2 * n1
 
 
 def test_plan_infeasible_budget_raises():
     with pytest.raises(InfeasibleBudget):
-        plan_budget(0.5, score_cost=1.0, epoch_cost=1.0)
+        plan_budget(0.5, UNCAPPED, score_cost=1.0, epoch_cost=1.0)
     with pytest.raises(InfeasibleBudget):
         # scores fit but no training run does
-        plan_budget(10.0, score_cost=0.1, epoch_cost=100.0)
+        plan_budget(10.0, UNCAPPED, score_cost=0.1, epoch_cost=100.0)
+
+
+def test_plan_shortlist_is_exact_at_eta_5_and_6():
+    # math.log(125, 5) and math.log(216, 6) round just above 3: a price of
+    # k * e * ceil(log_eta k) in floating point is one round too high here
+    plan = plan_budget(500.0, UNCAPPED, 1.0, 1.0, eta=5, filter_fraction=0.25)
+    assert (plan.n_to_score, plan.candidate_size) == (125, 125)
+    assert plan.planned_refine_cost == 375.0   # (125, 1), (25, 5), (5, 25)
+    plan = plan_budget(1000.0, UNCAPPED, 1.0, 1.0, eta=6, filter_fraction=0.3)
+    assert plan.candidate_size == 216
+    assert plan.planned_refine_cost == 648.0   # (216, 1), (36, 6), (6, 36)
 
 
 # -- explore_and_score -----------------------------------------------------------
@@ -301,10 +318,49 @@ def test_select_never_exceeds_budget(budget, score_cost, epoch_cost, phi, rho, s
     except InfeasibleBudget:
         return
     assert result.elapsed <= budget
+    assert result.filter_cost == result.plan.planned_filter_cost
+    assert result.refine_cost == result.plan.planned_refine_cost
+
+
+def test_select_plan_describes_the_run_on_a_small_space():
+    # the budget pays for 80 scores and a 32-model shortlist, but the space
+    # holds 4 genomes: the plan is the 4 scores and 8 epochs the run spends
+    space = small_space(dims=(2, 2))
+    trainer = Trainer(space)
+    result = select(space, ProxyScorer(space), trainer, budget=400.0, seed=1)
+    plan = result.plan
+    assert plan.n_to_score == result.scored_count == 4
+    assert plan.candidate_size == result.survivor_history[0] == 4
+    assert plan.planned_filter_cost == result.filter_cost == 4.0
+    assert plan.planned_refine_cost == result.refine_cost == 8.0
+    assert trainer.batches_consumed == result.epochs_charged == 8
 
 
 def test_refine_epoch_total_formula():
-    assert refine_epoch_total(1, 1, 2) == 1
-    assert refine_epoch_total(16, 1, 2) == 64
-    assert refine_epoch_total(8, 2, 2) == 48
-    assert refine_epoch_total(9, 1, 3) == 18
+    assert schedule_epochs(1, 1, 2) == 1
+    assert schedule_epochs(16, 1, 2) == 64
+    assert schedule_epochs(8, 2, 2) == 48
+    assert schedule_epochs(9, 1, 3) == 18
+    assert halving_schedule(16, 1, 2) == [(16, 1), (8, 2), (4, 4), (2, 8)]
+    assert halving_schedule(125, 1, 5) == [(125, 1), (25, 5), (5, 25)]
+    assert halving_schedule(10, 2, 3) == [(10, 2), (4, 6), (2, 18)]
+
+
+SCHEDULE_SPACE = ModelSpace((5, 5, 5), seed=4)
+
+
+@settings(max_examples=60, deadline=None)
+@example(eta=5, initial_epochs=1, k=125)
+@given(eta=st.integers(2, 8), initial_epochs=st.integers(1, 3),
+       k=st.integers(1, SCHEDULE_SPACE.size))
+def test_schedule_epochs_equal_what_refine_charges(eta, initial_epochs, k):
+    space = SCHEDULE_SPACE
+    batches = []
+    trainer = Trainer(space, noise_sigma=0.05,
+                      data_source=lambda: batches.append(None))
+    candidates = [ScoredModel(space.genome(p), 0.0)
+                  for p in itertools.islice(space.enumerate_params(), k)]
+    out = refine(candidates, initial_epochs, eta, trainer)
+    rounds = halving_schedule(k, initial_epochs, eta)
+    assert len(batches) == out.epochs_charged == schedule_epochs(k, initial_epochs, eta)
+    assert out.survivor_history == [count for count, _ in rounds] + ([1] if k > 1 else [])
