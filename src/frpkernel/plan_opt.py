@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from . import rng as rnglib
 
@@ -43,22 +44,29 @@ class RelStats:
 
 
 class Catalog:
-    """True and estimated base cardinalities and pairwise join selectivities."""
+    """True and estimated base cardinalities and pairwise join selectivities.
+
+    Read-only once built, so a plan tree can memoize its true cost per
+    catalog (see `true_cost`)."""
 
     def __init__(self, relations: dict[str, RelStats],
                  selectivities: dict[tuple[str, str], tuple[float, float]]):
         for name, stats in relations.items():
             if stats.true_rows <= 0 or stats.est_rows <= 0:
                 raise ValueError(f"rows for {name} must be positive")
-        self.relations = dict(relations)
-        self.selectivities = {}
+        sels = {}
         for pair, (true_sel, est_sel) in selectivities.items():
             if true_sel <= 0 or est_sel <= 0:
                 raise ValueError(f"selectivity for {pair} must be positive")
             a, b = pair
             if a not in relations or b not in relations:
                 raise ValueError(f"selectivity references unknown relation {pair}")
-            self.selectivities[edge_key(a, b)] = (float(true_sel), float(est_sel))
+            sels[edge_key(a, b)] = (float(true_sel), float(est_sel))
+        object.__setattr__(self, "relations", MappingProxyType(dict(relations)))
+        object.__setattr__(self, "selectivities", MappingProxyType(sels))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Catalog is read-only")
 
 
 @dataclass(frozen=True)
@@ -83,6 +91,10 @@ class Query:
 @dataclass(frozen=True)
 class Scan:
     relation: str
+    # true cost per catalog, filled by `true_cost`; equality, hash and repr
+    # ignore it
+    _true_costs: dict = field(default_factory=dict, init=False,
+                              compare=False, repr=False)
 
     def key(self) -> str:
         return self.relation
@@ -99,6 +111,9 @@ class Join:
     # derived once at construction; equality, hash and repr ignore them
     _key: str = field(init=False, compare=False, repr=False)
     _leaves: frozenset = field(init=False, compare=False, repr=False)
+    # true cost per catalog, as on `Scan`
+    _true_costs: dict = field(default_factory=dict, init=False,
+                              compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_key",
@@ -232,12 +247,19 @@ def plan_cost(plan: PlanTree, view: CardinalityVector) -> float:
 
 
 def true_cost(plan: PlanTree, catalog: Catalog) -> float:
-    """Cost under true cardinalities; the execution-side ground truth."""
-    leaves = plan.leaves()
-    joins = tuple(e for e in catalog.selectivities
-                  if e[0] in leaves and e[1] in leaves)
-    query = Query(tuple(sorted(leaves)), joins)
-    return plan_cost(plan, true_vector(query, catalog))
+    """Cost under true cardinalities; the execution-side ground truth.
+
+    Computed on the first call per (tree, catalog) and memoized on the tree,
+    keyed by the catalog object; trees and catalogs never change, so a hit
+    returns the same float."""
+    cost = plan._true_costs.get(catalog)
+    if cost is None:
+        leaves = plan.leaves()
+        joins = tuple(e for e in catalog.selectivities
+                      if e[0] in leaves and e[1] in leaves)
+        query = Query(tuple(sorted(leaves)), joins)
+        cost = plan._true_costs[catalog] = plan_cost(plan, true_vector(query, catalog))
+    return cost
 
 
 def simulate_latency(plan: PlanTree, catalog: Catalog, gen=None,
@@ -372,15 +394,17 @@ def select_plan(template_id: str, candidates: list[PlanTree],
     if not candidates:
         raise ValueError("no candidates")
     stats = state.template(template_id)
+    rows = []
     for plan in candidates:
-        if plan.key() not in stats or stats[plan.key()].pulls == 0:
+        row = stats.get(plan.key())
+        if row is None or row.pulls == 0:
             return plan
-    total = sum(stats[p.key()].pulls for p in candidates)
+        rows.append(row)
+    log_total = math.log(sum(row.pulls for row in rows))
+    weight = state.explore_weight
     best, best_score = None, None
-    for plan in candidates:
-        row = stats[plan.key()]
-        bonus = state.explore_weight * math.sqrt(math.log(total) / row.pulls)
-        score = row.mean_latency - bonus
+    for plan, row in zip(candidates, rows):
+        score = row.mean_latency - weight * math.sqrt(log_total / row.pulls)
         if best_score is None or score < best_score:
             best, best_score = plan, score
     return best

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frpkernel import plan_opt
 from frpkernel import rng as rnglib
 from frpkernel.plan_opt import (
     HASH_JOIN,
@@ -93,6 +94,53 @@ def test_execution_cost_ignores_estimates():
     wrong = chain_catalog(bc_est=1e-2)
     plan = optimize_base(chain_query(), accurate)
     assert true_cost(plan, accurate) == true_cost(plan, wrong)
+
+
+def test_catalog_is_read_only():
+    catalog = chain_catalog()
+    with pytest.raises(TypeError):
+        catalog.relations["A"] = RelStats(1, 1)
+    with pytest.raises(TypeError):
+        catalog.selectivities["A", "B"] = (0.5, 0.5)
+    with pytest.raises(AttributeError):
+        catalog.relations = {}
+    assert catalog.relations["A"] == RelStats(1000, 1000)
+    assert catalog.selectivities["A", "B"] == (0.01, 0.01)
+
+
+@pytest.mark.parametrize("relations, sels", [
+    ({"A": RelStats(0, 1)}, {}),
+    ({"A": RelStats(1, -1)}, {}),
+    ({"A": RelStats(1, 1), "B": RelStats(1, 1)}, {("A", "B"): (0.0, 0.1)}),
+    ({"A": RelStats(1, 1)}, {("A", "Z"): (0.1, 0.1)}),
+])
+def test_catalog_rejects_bad_stats(relations, sels):
+    with pytest.raises(ValueError):
+        Catalog(relations, sels)
+
+
+def test_true_cost_computed_once_per_tree_and_catalog(monkeypatch):
+    catalog = chain_catalog(cd_est=1e-4)
+    calls = []
+    real_cost = plan_opt.plan_cost
+
+    def counting_cost(plan, view):
+        calls.append(plan)
+        return real_cost(plan, view)
+
+    monkeypatch.setattr(plan_opt, "plan_cost", counting_cost)
+    cands = gen_candidates(chain_query(), catalog, n_plans=20, seed=3)
+    assert len(cands) > 1
+    gen = rnglib.derive(0, "memo")
+    for i in range(200):
+        simulate_latency(cands[i % len(cands)], catalog, gen)
+    assert len(calls) <= len(cands)
+    # fresh trees from a second call carry no memo: the memo is per tree,
+    # not a process-wide cache
+    again = gen_candidates(chain_query(), catalog, n_plans=20, seed=3)
+    before = len(calls)
+    assert [true_cost(p, catalog) for p in again] == [true_cost(p, catalog) for p in cands]
+    assert len(calls) == before + len(again)
 
 
 def test_two_relation_join_picks_cheaper_algorithm():
@@ -283,6 +331,17 @@ def test_bandit_prefers_faster_plan():
     assert last_100.count("fast") >= 90
 
 
+def test_ucb_tie_goes_to_first_candidate():
+    plans = [Scan("a"), Scan("b"), Scan("c")]
+    state = SelectorState()
+    for plan in plans:
+        feedback("t", plan, 10.0, state)
+    assert select_plan("t", plans, state) is plans[0]
+    assert select_plan("t", plans[::-1], state) is plans[2]
+    feedback("t", plans[1], 4.0, state)     # b: 2 pulls, mean 7.0
+    assert select_plan("t", plans, state) is plans[1]
+
+
 def test_fresh_template_gets_fresh_state():
     _, fast, slow = two_plan_setup()
     state = SelectorState()
@@ -449,8 +508,15 @@ def test_dp_matches_frozenset_reference(case):
         assert plan.key() == ref_key(plan)
         # one card routine: both orders of multiplication are the same here
         assert plan_cost(plan, view) == ref_plan_cost(plan, view)
-    for plan in gen_candidates(query, catalog, n_plans=3, seed=len(query.relations)):
-        assert true_cost(plan, catalog) == ref_plan_cost(plan, true_vector(query, catalog))
+    # the same trees under a second catalog with other true rows: each
+    # catalog gets its own cost, on the first call and on a repeat
+    other = Catalog({r: RelStats(2 * s.true_rows, s.est_rows)
+                     for r, s in catalog.relations.items()}, catalog.selectivities)
+    plans = gen_candidates(query, catalog, n_plans=3, seed=len(query.relations))
+    plans += [Scan(r) for r in query.relations]
+    for cat in (catalog, other, catalog, other):
+        expected = [ref_plan_cost(plan, true_vector(query, cat)) for plan in plans]
+        assert [true_cost(plan, cat) for plan in plans] == expected
 
 
 def test_join_cache_ignored_by_eq_hash_repr():
@@ -461,7 +527,14 @@ def test_join_cache_ignored_by_eq_hash_repr():
     assert plan.leaves() == ref_leaves(plan) == {"A", "B", "C"}
     object.__setattr__(b, "_key", "stale")
     object.__setattr__(b, "_leaves", frozenset())
+    catalog = Catalog({"A": RelStats(10, 10), "B": RelStats(20, 20)}, {})
+    true_cost(a, catalog)
+    scan = Scan("A")
+    true_cost(scan, catalog)
+    assert a._true_costs and not b._true_costs
     assert a == b and hash(a) == hash(b)
+    assert scan == Scan("A") and hash(scan) == hash(Scan("A"))
+    assert repr(scan) == repr(Scan("A")) == "Scan(relation='A')"
     assert a != Join(Scan("B"), Scan("A"), HASH_JOIN)
     assert repr(a) == repr(b) == ("Join(left=Scan(relation='A'), "
                                   "right=Scan(relation='B'), algo='hash')")
