@@ -161,12 +161,12 @@ class CountingPolicy:
 
     def __init__(self, strategy: CCStrategy, state: SystemState):
         self.strategy = strategy
-        self.state = state
         self.usage: dict[Cell, int] = {}
+        # the state is fixed for the policy's life, and so is its bucket
+        self._cb, self._wb = strategy.bucketizer.cell_of(state)
 
     def __call__(self, kind: str, heat: str) -> CCAction:
-        cb, wb = self.strategy.bucketizer.cell_of(self.state)
-        cell = (cb, wb, kind, heat)
+        cell = (self._cb, self._wb, kind, heat)
         self.usage[cell] = self.usage.get(cell, 0) + 1
         return self.strategy.action_at(cell)
 

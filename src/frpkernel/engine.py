@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -121,7 +123,7 @@ class TxnOp:
 @dataclass
 class Txn:
     txn_id: int                # ids rise in begin order: higher is younger
-    ops: list[TxnOp]
+    ops: Sequence[TxnOp]
     status: str = ACTIVE
     abort_reason: str | None = None
     next_op: int = 0
@@ -176,6 +178,40 @@ def zipf_probs(n: int, theta: float) -> np.ndarray:
     return w / w.sum()
 
 
+@lru_cache(maxsize=16)   # a process runs windows over a few key spaces
+def _key_names(key_space: int) -> tuple[str, ...]:
+    return tuple(f"k{i:03d}" for i in range(key_space))
+
+
+# Size one: the probe windows of one adaptation share a spec and hit it,
+# while a wider memo would carry schedules from one benchmark round into the
+# next and time the replay instead of the kernel.
+@lru_cache(maxsize=1)
+def _schedule(key_space: int, zipf_theta: float, write_frac: float, txn_len: int,
+              seed: int, arrival_rate: float,
+              ticks: int) -> tuple[tuple[int, tuple[TxnOp, ...]], ...]:
+    """The window's arrivals as (arrival tick, ops) pairs in arrival order:
+    transaction i arrives at tick int(i / arrival_rate), while that is below
+    `ticks`. A pure function of its arguments; schedules and op tuples are
+    immutable, so a memo hit can be handed to every window."""
+    times = []
+    if arrival_rate > 0:
+        while int(len(times) / arrival_rate) < ticks:
+            times.append(int(len(times) / arrival_rate))
+    if not times:
+        return ()
+    gen = rnglib.derive(seed, "window")
+    n_ops = len(times) * txn_len
+    key_ids = gen.choice(key_space, size=n_ops, p=zipf_probs(key_space, zipf_theta))
+    is_write = gen.random(n_ops) < write_frac
+    values = gen.integers(0, 1_000_000, size=n_ops)
+    names = _key_names(key_space)
+    ops = [TxnOp(WRITE, names[k], v) if wr else TxnOp(READ, names[k])
+           for k, wr, v in zip(key_ids.tolist(), is_write.tolist(), values.tolist())]
+    return tuple((tick, tuple(ops[t * txn_len:(t + 1) * txn_len]))
+                 for t, tick in enumerate(times))
+
+
 class Engine:
     """Single-owner engine; one scenario drives it at a time.
 
@@ -213,7 +249,7 @@ class Engine:
 
     # -- transaction lifecycle -------------------------------------------
 
-    def begin(self, ops: list[TxnOp]) -> Txn:
+    def begin(self, ops: Sequence[TxnOp]) -> Txn:
         self._last_txn_id += 1
         txn = Txn(self._last_txn_id, ops)
         self.active[txn.txn_id] = txn
@@ -435,21 +471,19 @@ class Engine:
         does. Whatever is unfinished at the cutoff is rolled back and counted
         as carryover.
 
-        Deterministic in (workload.seed, policy): transaction generation never
-        consults engine state, so identical seeds produce identical streams
-        regardless of the actions chosen.
+        Deterministic in (workload.seed, policy): the arrival schedule is a
+        pure function of the spec's fields and the tick count, never of
+        engine state, so identical seeds produce identical streams
+        regardless of the actions chosen. The last schedule built is kept
+        and reused by the next window with the same spec and length.
         """
         if self.active:
             raise RuntimeError("engine not quiescent")
         ticks = int(duration)
-        arrivals: deque[tuple[int, list[TxnOp]]] = deque()
-        rate = workload.arrival_rate
-        if rate > 0:
-            times = []
-            while int(len(times) / rate) < ticks:
-                times.append(int(len(times) / rate))
-            arrivals.extend(zip(times, self._gen_plans(workload, len(times))))
-        retries: deque[list[TxnOp]] = deque()
+        arrivals = deque(_schedule(
+            workload.key_space, workload.zipf_theta, workload.write_frac,
+            workload.txn_len, workload.seed, workload.arrival_rate, ticks))
+        retries: deque[Sequence[TxnOp]] = deque()
         held: deque[int] = deque()      # ticks at which rolled-back slots free up
 
         stats = ExecStats()
@@ -513,22 +547,3 @@ class Engine:
                 txn.stall = self.lock_overhead
             if out.status in (OpStatus.WAITED, OpStatus.CONFLICT_NOTED):
                 stats.conflicted_op_count += 1
-
-    def _gen_plans(self, workload: WorkloadSpec, count: int) -> list[list[TxnOp]]:
-        gen = rnglib.derive(workload.seed, "window")
-        probs = zipf_probs(workload.key_space, workload.zipf_theta)
-        n_ops = count * workload.txn_len
-        key_ids = gen.choice(workload.key_space, size=n_ops, p=probs)
-        is_write = gen.random(n_ops) < workload.write_frac
-        values = gen.integers(0, 1_000_000, size=n_ops)
-        plans = []
-        for t in range(count):
-            ops = []
-            for j in range(t * workload.txn_len, (t + 1) * workload.txn_len):
-                key = f"k{int(key_ids[j]):03d}"
-                if is_write[j]:
-                    ops.append(TxnOp(WRITE, key, int(values[j])))
-                else:
-                    ops.append(TxnOp(READ, key))
-            plans.append(ops)
-        return plans

@@ -1,8 +1,20 @@
-"""Shared test oracles: scripted schedules and serial-order reference runs."""
+"""Shared test oracles: scripted schedules, serial-order reference runs and
+the per-op reference for a window's arrival schedule."""
 
 from itertools import permutations
 
-from frpkernel.engine import ACTIVE, COMMITTED, CCAction, Engine, OpStatus, TxnOp
+from frpkernel import rng as rnglib
+from frpkernel.engine import (
+    ACTIVE,
+    COMMITTED,
+    READ,
+    WRITE,
+    CCAction,
+    Engine,
+    OpStatus,
+    TxnOp,
+    zipf_probs,
+)
 
 
 def run_schedule(txn_specs, actions, order, engine=None):
@@ -85,3 +97,31 @@ def w(key, value):
 
 def r(key):
     return TxnOp("read", key)
+
+
+def reference_schedule(workload, ticks):
+    """A window's (arrival tick, ops) list, built op by op with numpy
+    indexing the way the engine once built it; the oracle for the engine's
+    schedule."""
+    times = []
+    rate = workload.arrival_rate
+    if rate > 0:
+        while int(len(times) / rate) < ticks:
+            times.append(int(len(times) / rate))
+    gen = rnglib.derive(workload.seed, "window")
+    probs = zipf_probs(workload.key_space, workload.zipf_theta)
+    n_ops = len(times) * workload.txn_len
+    key_ids = gen.choice(workload.key_space, size=n_ops, p=probs)
+    is_write = gen.random(n_ops) < workload.write_frac
+    values = gen.integers(0, 1_000_000, size=n_ops)
+    plans = []
+    for t in range(len(times)):
+        ops = []
+        for j in range(t * workload.txn_len, (t + 1) * workload.txn_len):
+            key = f"k{int(key_ids[j]):03d}"
+            if is_write[j]:
+                ops.append(TxnOp(WRITE, key, int(values[j])))
+            else:
+                ops.append(TxnOp(READ, key))
+        plans.append(ops)
+    return list(zip(times, plans))

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frpkernel import rng as rnglib
 from frpkernel.cc_adaptive import (
@@ -111,6 +113,33 @@ def test_bucketizer_clamps_to_range():
     assert buckets.cell_of(SystemState()) == (0, 0)
     assert buckets.cell_of(SystemState(contention_index=2.0, avg_lock_wait=50.0)) == (3, 3)
     assert buckets.cell_of(SystemState(contention_index=0.5, avg_lock_wait=2.5)) == (2, 2)
+
+
+def _around(top):
+    """Values inside the bucket range, at its top and above it."""
+    return st.one_of(st.sampled_from((0.0, top / 2, top, top * 1.5)),
+                     st.floats(0.0, top * 2, allow_nan=False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), buckets=st.integers(1, 5),
+       contention_max=st.sampled_from((0.5, 1.0)), wait_max=st.sampled_from((2.0, 5.0)))
+def test_policy_matches_per_call_cell_of(data, buckets, contention_max, wait_max):
+    bucketizer = Bucketizer(buckets, contention_max, wait_max)
+    cells = all_cells(buckets)
+    picks = data.draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+    strategy = CCStrategy(bucketizer, {c: LOCK if p else OPT for c, p in zip(cells, picks)})
+    state = SystemState(contention_index=data.draw(_around(contention_max)),
+                        avg_lock_wait=data.draw(_around(wait_max)))
+    pairs = [(kind, heat) for kind in (READ, WRITE) for heat in (HOT, COLD)]
+    calls = pairs + data.draw(st.lists(st.sampled_from(pairs), max_size=40))
+    policy = as_policy(strategy, state)
+    usage = {}
+    for kind, heat in calls:
+        cell = (*bucketizer.cell_of(state), kind, heat)
+        usage[cell] = usage.get(cell, 0) + 1
+        assert policy(kind, heat) is strategy.action_at(cell)
+    assert policy.usage == usage
 
 
 def test_strategy_table_must_be_total():

@@ -1,7 +1,7 @@
 import hashlib
 import itertools
 import random
-from dataclasses import astuple
+from dataclasses import astuple, fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -21,10 +21,20 @@ from frpkernel.engine import (
     Record,
     TxnOp,
     WorkloadSpec,
+    _schedule,
     compute_checksum,
 )
+from frpkernel.cc_adaptive import CCStrategy, OnlineAdapter, SystemState
 from frpkernel.recovery import EnclaveSim, RedoLog
-from helpers import all_lock, all_optimistic, matches_some_serial_order, r, run_schedule, w
+from helpers import (
+    all_lock,
+    all_optimistic,
+    matches_some_serial_order,
+    r,
+    reference_schedule,
+    run_schedule,
+    w,
+)
 
 LOCK = CCAction.LOCK_IMMEDIATE
 OPT = CCAction.OPTIMISTIC_NO_LOCK
@@ -387,3 +397,81 @@ def scheduler_digest() -> str:
 def test_window_schedules_match_pinned_digest():
     assert scheduler_digest() == (
         "ebbcd94be3bee0193f178e498f8e2b186da173966884be176382680475a3869c")
+
+
+# -- window schedule ------------------------------------------------------------
+
+def schedule_of(spec: WorkloadSpec, ticks: int):
+    return _schedule(spec.key_space, spec.zipf_theta, spec.write_frac, spec.txn_len,
+                     spec.seed, spec.arrival_rate, ticks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    key_space=st.one_of(st.integers(1, 12), st.integers(990, 2500)),
+    zipf_theta=st.sampled_from((0.0, 0.8, 0.99)),
+    write_frac=st.sampled_from((0.0, 0.3, 1.0)),
+    txn_len=st.integers(1, 5),
+    seed=st.integers(0, 2**32),
+    arrival_rate=st.sampled_from((0.0, 0.3, 1.0, 2.5, 4.0)),
+    ticks=st.integers(0, 25),
+)
+def test_schedule_matches_per_op_reference(key_space, zipf_theta, write_frac, txn_len,
+                                           seed, arrival_rate, ticks):
+    spec = WorkloadSpec(key_space, zipf_theta, write_frac, txn_len, arrival_rate, seed)
+    got = schedule_of(spec, ticks)
+    want = reference_schedule(spec, ticks)
+    assert len(got) == len(want)
+    for (tick, ops), (ref_tick, ref_ops) in zip(got, want):
+        assert tick == ref_tick
+        assert [(op.kind, op.key, op.write_value) for op in ops] == [
+            (op.kind, op.key, op.write_value) for op in ref_ops]
+
+
+def test_schedule_of_empty_windows_is_empty():
+    for rate, ticks in ((0.0, 20), (2.5, 0), (0.3, -1)):
+        spec = WorkloadSpec(key_space=4, arrival_rate=rate, seed=3)
+        assert schedule_of(spec, ticks) == () == tuple(reference_schedule(spec, ticks))
+
+
+def test_schedule_memo_keys_on_every_spec_field():
+    base = WorkloadSpec(key_space=8, zipf_theta=0.8, write_frac=0.5, txn_len=3,
+                        arrival_rate=2.0, seed=5)
+    other = dict(key_space=9, zipf_theta=0.0, write_frac=0.9, txn_len=2,
+                 arrival_rate=2.5, seed=6)
+    assert {f.name for f in fields(WorkloadSpec)} == set(other)
+    for name, value in other.items():
+        specs = (base, replace(base, **{name: value}))
+        want, want_stats = [], []
+        for spec in specs:
+            want.append(tuple((tick, tuple(ops)) for tick, ops in reference_schedule(spec, 12)))
+            _schedule.cache_clear()
+            want_stats.append(Engine().run_window(spec, all_lock, 12))
+        assert want[0] != want[1] and want_stats[0] != want_stats[1]
+        # interleaved, so every call evicts the other spec's entry or hits its own
+        for i in (0, 1, 1, 0, 1):
+            got = schedule_of(specs[i], 12)
+            assert type(got) is tuple
+            assert all(type(ops) is tuple for _, ops in got)
+            assert got == want[i]
+            assert Engine().run_window(specs[i], all_lock, 12) == want_stats[i]
+
+
+def test_schedule_memo_holds_one_entry():
+    # Size one on purpose: the probe windows of one adaptation share a spec,
+    # so they hit it, while a wider memo would carry a benchmark round's
+    # schedules into its next round and time the replay, not the kernel.
+    assert _schedule.cache_parameters()["maxsize"] == 1
+
+
+def test_adaptation_builds_its_probe_schedule_once():
+    adapter = OnlineAdapter(strategy=CCStrategy.prescribed(), pop_size=8,
+                            refine_rounds=2, probe_duration=30, seed=4)
+    spec = WorkloadSpec(key_space=6, zipf_theta=0.99, write_frac=0.8, txn_len=3,
+                        arrival_rate=3.0, seed=9)
+    before = _schedule.cache_info()
+    event = adapter._adapt(SystemState(contention_index=0.6), spec)
+    after = _schedule.cache_info()
+    assert event.probe_windows >= 8
+    assert after.misses - before.misses == 1
+    assert after.hits - before.hits == event.probe_windows - 1
