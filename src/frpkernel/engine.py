@@ -272,7 +272,7 @@ class Engine:
         # still holds locked (committing anyway would break 2PL readers);
         # then backward validation of the optimistic footprint.
         footprint = {**txn.read_versions, **txn.write_versions}
-        if (any(self._blockers(txn, key, "X") for key in txn.write_versions)
+        if (any(self._conflicts(txn, key) for key in txn.write_versions)
                 or any(self.store.read(key).version != ver for key, ver in footprint.items())):
             self.abort(txn, "conflict")
             return CommitResult(ABORTED, "conflict")
@@ -344,6 +344,12 @@ class Engine:
             return {t for t, m in holders.items() if t != txn.txn_id and m == "X"}
         return {t for t in holders if t != txn.txn_id}
 
+    def _conflicts(self, txn: Txn, key: str) -> bool:
+        """Whether another transaction holds a lock on `key`: `_blockers` in
+        X mode is non-empty, without building the set."""
+        holders = self.locks.get(key)
+        return bool(holders) and (len(holders) > 1 or txn.txn_id not in holders)
+
     def _find_deadlock_victim(self, start: int) -> int | None:
         """Walk the wait-for graph; on a cycle return its youngest member."""
         path: list[int] = []
@@ -374,7 +380,7 @@ class Engine:
             txn.read_versions.setdefault(op.key, rec.version)
         else:
             txn.write_versions.setdefault(op.key, rec.version)
-        self._perform(txn, op)
+        self._perform(txn, op, rec)
         txn.next_op += 1
         txn.op_wait = 0
         if self._contended(txn, op.key):
@@ -382,14 +388,17 @@ class Engine:
         return OpOutcome(OpStatus.OK)
 
     def _contended(self, txn: Txn, key: str) -> bool:
-        if self._blockers(txn, key, "X"):
+        if self._conflicts(txn, key):
             return True
         own = 1 if key in txn.buffered else 0
         return self._write_intents.get(key, 0) > own
 
     # -- shared helpers ---------------------------------------------------
 
-    def _perform(self, txn: Txn, op: TxnOp) -> None:
+    def _perform(self, txn: Txn, op: TxnOp, rec: Record | None = None) -> None:
+        """Buffer a write or record a read; a read of a key the transaction
+        has not written takes its value from `rec`, the key's committed
+        record if the caller already read it, else from the store."""
         if op.kind == WRITE:
             if op.key not in txn.buffered:
                 self._write_intents[op.key] = self._write_intents.get(op.key, 0) + 1
@@ -398,7 +407,9 @@ class Engine:
             if op.key in txn.buffered:
                 txn.reads.append((op.key, txn.buffered[op.key]))
             else:
-                txn.reads.append((op.key, self.store.read(op.key).value))
+                if rec is None:
+                    rec = self.store.read(op.key)
+                txn.reads.append((op.key, rec.value))
 
     def _release_all(self, txn: Txn) -> None:
         for key in list(txn.locks):

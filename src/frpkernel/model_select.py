@@ -141,6 +141,9 @@ class Trainer:
         self.noise_sigma = noise_sigma
         self.data_source = data_source
         self.batches_consumed = 0
+        # tau per genome, derived once per trainer; a trainer serves one
+        # select run, so no draw outlives it
+        self._tau: dict[tuple[int, ...], float] = {}
 
     def charge(self, epochs: int) -> None:
         if self.data_source is None:
@@ -151,8 +154,10 @@ class Trainer:
             self.batches_consumed += 1
 
     def accuracy(self, params: tuple[int, ...], cumulative_epochs: float) -> float:
-        base = self.space.a_final(params) * (1.0 - math.exp(
-            -cumulative_epochs / self.space.tau(params)))
+        tau = self._tau.get(params)
+        if tau is None:
+            tau = self._tau[params] = self.space.tau(params)
+        base = self.space.a_final(params) * (1.0 - math.exp(-cumulative_epochs / tau))
         if self.noise_sigma > 0.0:
             noise = rnglib.derive(self.space.seed, "train", params,
                                   round(cumulative_epochs, 6))

@@ -2,28 +2,39 @@
 
 A toy cost-based optimizer enumerates bushy join trees by dynamic programming
 over relation subsets, each a bitmask over the sorted relation names (bit i
-is the i-th name). Instead of hint sets, plan diversity comes from
-re-running that optimizer under multiplicatively perturbed cardinality
-estimates; the unmutated base plan is always kept. An upper-confidence bandit
-then picks among the candidates per query template and learns from observed
-latencies, which depend only on true cardinalities, never on the estimates.
+is the i-th name). Instead of hint sets, plan diversity comes from solving
+that optimizer under multiplicatively perturbed cardinality estimates; the
+unmutated base plan is always kept. All estimate views of a query are
+solved together, in one DP batched by subset size: numpy costs every split
+of every subset of a size under every view, and Python builds plan keys
+only for the splits that reach a subset's minimum. One view is the same DP
+with one row. An upper-confidence bandit then picks among the candidates
+per query template and learns from observed latencies, which depend only on
+true cardinalities, never on the estimates.
 
 Cost model per node (cards taken from whichever estimate view is in force):
 scan costs its row count; a hash join costs 1.5 * (left + right) + output,
 and a nested-loop join costs left + left * right + output. Plan cost is the
 sum over all nodes, so it is C_out-like with per-algorithm input terms.
-A subset's card is the product of its rows in sorted-relation order, then of
+One card routine, `_cards`, serves the DP and `plan_cost`/`true_cost`: a
+subset's card is the product of its rows in sorted-relation order, then of
 the selectivities of the query edges inside it in sorted-edge order. That
 order is fixed, so costs are bit-identical across processes whatever the
-string hash seed.
+string hash seed, and the DP computes each cost with `plan_cost`'s
+operations in its order, so a plan's DP cost and its `plan_cost` are one
+float.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 from types import MappingProxyType
+
+import numpy as np
 
 from . import rng as rnglib
 
@@ -190,60 +201,75 @@ def mutate_cards(cards: CardinalityVector, grid: MutationGrid, gen) -> Cardinali
 
 # -- costing ---------------------------------------------------------------
 
-def _bitmask_view(rels: list[str], view: CardinalityVector):
-    """A bit per relation of the sorted `rels`, their (bit, row) pairs, and
-    the view's `edge_key`-form edges among them as (bit pair, sel) in
-    sorted-edge order; a repeated edge keeps its first sel."""
+def _view_factors(rels: list[str], views: Sequence[CardinalityVector]):
+    """The card factors of the sorted `rels` under each view. A factor is a
+    bitmask and a value per view: each relation's bit and rows, in
+    sorted-relation order, then each `edge_key`-form edge among `rels` of
+    any view, its two bits and sel, in sorted-edge order, 1.0 where a view
+    lacks the edge. A repeated edge keeps its first sel. Returns the bit per
+    relation, the factor masks (factors,) and values (views, factors)."""
     bits = {rel: 1 << i for i, rel in enumerate(rels)}
-    rows_of = dict(zip(view.rels, view.rows))
-    missing = [rel for rel in rels if rel not in rows_of]
-    if missing:
-        raise ValueError(f"view has no rows for {missing}")
-    sels = {}
-    for (a, b), sel in zip(view.edges, view.sels):
-        if a < b and a in bits and b in bits:
-            sels.setdefault((a, b), sel)
-    return (bits, [(bits[rel], rows_of[rel]) for rel in rels],
-            [(bits[a] | bits[b], sels[a, b]) for a, b in sorted(sels)])
+    values, sels = [], []
+    for view in views:
+        rows_of = dict(zip(view.rels, view.rows))
+        if not rows_of.keys() >= bits.keys():
+            missing = [rel for rel in rels if rel not in rows_of]
+            raise ValueError(f"view has no rows for {missing}")
+        values.append([rows_of[rel] for rel in rels])
+        own = {}
+        for (a, b), sel in zip(view.edges, view.sels):
+            if a < b and a in bits and b in bits:
+                own.setdefault((a, b), sel)
+        sels.append(own)
+    edges = sorted(set().union(*sels))
+    for row, own in zip(values, sels):
+        row += [own.get(e, 1.0) for e in edges]
+    masks = list(bits.values()) + [bits[a] | bits[b] for a, b in edges]
+    return bits, np.array(masks), np.array(values, dtype=float)
 
 
-def _card(mask: int, rows: list[tuple[int, float]],
-          edges: list[tuple[int, float]]) -> float:
-    """Output card of a relation subset: its rows, then the sels of the edges
-    inside it, each in list order."""
-    card = 1.0
-    for bit, row in rows:
-        if mask & bit:
-            card *= row
-    for pair, sel in edges:
-        if mask & pair == pair:
-            card *= sel
-    return card
+def _cards(subsets: np.ndarray, factor_masks: np.ndarray,
+           values: np.ndarray) -> np.ndarray:
+    """Output card of each relation subset (a bitmask; one column each)
+    under each view (one row each): the product of the factors whose mask
+    the subset contains, in factor order. A factor outside the subset
+    multiplies by 1.0, which is exact, so each entry is the float of the
+    subset's own factors multiplied in that order: numpy's multiply
+    reduction runs in index order (only its add reduction is pairwise), and
+    `test_dp_matches_frozenset_reference` checks the result bit for bit."""
+    inside = (subsets & factor_masks[:, None]) == factor_masks[:, None]
+    return np.multiply.reduce(np.where(inside, values[:, :, None], 1.0), axis=1)
 
 
 def plan_cost(plan: PlanTree, view: CardinalityVector) -> float:
-    """Sum of node costs, each node's card taken by `_card` over its leaves."""
-    bits, rows, edges = _bitmask_view(sorted(plan.leaves()), view)
+    """Sum of node costs, each node's card taken by `_cards` over the plan's
+    leaves."""
+    bits, factor_masks, values = _view_factors(sorted(plan.leaves()), [view])
+    nodes, masks = [], []          # post-order: children before their join
 
-    def walk(node) -> tuple[int, float, float]:
-        """(subset mask, output card, cost) of the subtree, bottom-up."""
+    def collect(node) -> int:
+        mask = (bits[node.relation] if isinstance(node, Scan)
+                else collect(node.left) | collect(node.right))
+        nodes.append(node)
+        masks.append(mask)
+        return mask
+
+    collect(plan)
+    stack = []                     # (card, cost) of each finished subtree
+    for node, out in zip(nodes, _cards(np.array(masks), factor_masks, values)[0].tolist()):
         if isinstance(node, Scan):
-            mask = bits[node.relation]
-            card = _card(mask, rows, edges)
-            return mask, card, card
-        lmask, lc, lcost = walk(node.left)
-        rmask, rc, rcost = walk(node.right)
-        mask = lmask | rmask
-        out = _card(mask, rows, edges)
+            stack.append((out, out))
+            continue
+        rc, rcost = stack.pop()
+        lc, lcost = stack.pop()
         if node.algo == HASH_JOIN:
             here = HASH_INPUT_FACTOR * (lc + rc) + out
         elif node.algo == NESTED_LOOP:
             here = lc + lc * rc + out
         else:
             raise ValueError(f"unknown join algorithm {node.algo!r}")
-        return mask, out, lcost + rcost + here
-
-    return walk(plan)[2]
+        stack.append((out, lcost + rcost + here))
+    return stack[0][1]
 
 
 def true_cost(plan: PlanTree, catalog: Catalog) -> float:
@@ -254,12 +280,18 @@ def true_cost(plan: PlanTree, catalog: Catalog) -> float:
     returns the same float."""
     cost = plan._true_costs.get(catalog)
     if cost is None:
-        leaves = plan.leaves()
-        joins = tuple(e for e in catalog.selectivities
-                      if e[0] in leaves and e[1] in leaves)
-        query = Query(tuple(sorted(leaves)), joins)
-        cost = plan._true_costs[catalog] = plan_cost(plan, true_vector(query, catalog))
+        cost = plan._true_costs[catalog] = plan_cost(plan, _true_view(plan.leaves(), catalog))
     return cost
+
+
+# Size one: a bandit pulls each candidate of one query in turn, and those
+# trees share their leaves and catalog, so their first true costs build the
+# view once; a wider memo would carry views from one benchmark round into
+# the next.
+@lru_cache(maxsize=1)
+def _true_view(leaves: frozenset, catalog: Catalog) -> CardinalityVector:
+    joins = tuple(e for e in catalog.selectivities if e[0] in leaves and e[1] in leaves)
+    return true_vector(Query(tuple(sorted(leaves)), joins), catalog)
 
 
 def simulate_latency(plan: PlanTree, catalog: Catalog, gen=None,
@@ -273,96 +305,138 @@ def simulate_latency(plan: PlanTree, catalog: Catalog, gen=None,
 
 # -- optimization -------------------------------------------------------------
 
-def optimize_base(query: Query, catalog: Catalog,
-                  view: CardinalityVector | None = None) -> PlanTree:
-    """Bushy dynamic-programming join enumeration under an estimate view.
+@lru_cache(maxsize=8)   # one entry per relation count; structure, never results
+def _levels(n: int) -> tuple:
+    """The splits of every subset of n relations, one level per subset size
+    2..n. A split is (subset, left side, right side), where the left side
+    holds the subset's lowest bit, and the splits of a subset are adjacent.
+    Per level: its subsets as bitmasks, where each subset's splits start,
+    and per split its subset's index in the level, as numpy arrays; then the
+    split columns, as numpy arrays and as tuples for the Python pass."""
+    levels = []
+    for size in range(2, n + 1):
+        masks = [m for m in range(1 << n) if m.bit_count() == size]
+        starts, seg, parent, left, right = [], [], [], [], []
+        for i, mask in enumerate(masks):
+            starts.append(len(seg))
+            low = mask & -mask
+            rest = mask ^ low
+            sub = (rest - 1) & rest
+            while True:
+                seg.append(i)
+                parent.append(mask)
+                left.append(sub | low)
+                right.append(rest ^ sub)
+                if not sub:
+                    break
+                sub = (sub - 1) & rest
+        arrays = tuple(np.array(col) for col in (masks, starts, seg, parent, left, right))
+        for a in arrays:
+            a.flags.writeable = False
+        levels.append((arrays, (tuple(parent), tuple(left), tuple(right))))
+    return tuple(levels)
 
-    Subsets are bitmasks over the sorted relations, visited in ascending
-    order so that every proper submask is solved first. Each subset tries
-    every split into two sides with both join algorithms and both input
-    orders: O(3^n) split work, for at most 8 relations. The result is the
-    argmin of (cost, canonical plan string). Candidates get a key string
-    only on an exact cost tie, each subset's winner gets one, and the tree
-    is built once, from the winning splits.
-    """
+
+def _optimize(query: Query, views: Sequence[CardinalityVector]) -> list[PlanTree]:
+    """The best plan of `query` under each view, solved together.
+
+    One DP over relation subsets, as bitmasks over the sorted relations,
+    for all views at once, level by level in subset size so that every
+    proper subset is solved first. Each subset tries every split into two
+    sides with both join algorithms and both input orders: O(3^n) split work
+    per view, for at most 8 relations. Numpy costs every split of a level
+    under every view and takes each subset's minimum. The winner is the
+    argmin of (cost, canonical plan string): Python visits only the splits
+    that reach the minimum, builds the winner's key (both orientations for a
+    hash join, which costs the same both ways round) and compares keys only
+    where splits tie exactly. Views with the same winning plan share one
+    tree."""
     if len(query.relations) > 8:
         raise ValueError("queries beyond 8 relations are out of scope")
-    if view is None:
-        view = estimate_vector(query, catalog)
     rels = sorted(query.relations)
     if not rels:
         raise ValueError("empty query")
-    _, rows, edges = _bitmask_view(rels, view)
-    full = (1 << len(rels)) - 1
-    # per mask: output card, best cost, winning left side, algorithm, key
-    card = [_card(mask, rows, edges) for mask in range(full + 1)]
-    cost = card[:]                      # a single relation costs its scan
-    split = [0] * (full + 1)
-    algo = [HASH_JOIN] * (full + 1)
-    keys = [""] * (full + 1)
+    _, factor_masks, values = _view_factors(rels, views)
+    card = _cards(np.arange(1 << len(rels)), factor_masks, values)
+    cost = card.copy()                   # a single relation costs its scan
+    n_views, size = card.shape
+    # per view and mask: the winner's (key, left side, algorithm)
+    win = [[None] * size for _ in range(n_views)]
     for i, rel in enumerate(rels):
-        keys[1 << i] = rel
+        for row in win:
+            row[1 << i] = (rel, 0, None)
 
-    for mask in range(3, full + 1):
-        if not mask & (mask - 1):
-            continue
-        out = card[mask]
-        # each split once, enumerated as the submasks `sub` of `rest`; the
-        # side holding the lowest bit goes left or right, and a hash join
-        # costs the same both ways round
-        low = mask & -mask
-        rest = mask ^ low
-        best, ties = math.inf, []
-        sub = (rest - 1) & rest
-        while True:
-            left = sub | low
-            right = rest ^ sub
-            lc, rc = card[left], card[right]
-            base = cost[left] + cost[right]
-            c = base + (HASH_INPUT_FACTOR * (lc + rc) + out)
-            if c <= best:
-                if c < best:
-                    best, ties = c, []
-                ties += ((left, HASH_JOIN), (right, HASH_JOIN))
-            c = base + (lc + lc * rc + out)
-            if c <= best:
-                if c < best:
-                    best, ties = c, []
-                ties.append((left, NESTED_LOOP))
-            c = base + (rc + rc * lc + out)
-            if c <= best:
-                if c < best:
-                    best, ties = c, []
-                ties.append((right, NESTED_LOOP))
-            if not sub:
-                break
-            sub = (sub - 1) & rest
-        cost[mask] = best
-        keys[mask], split[mask], algo[mask] = min(
-            (f"({keys[l]} {a} {keys[mask ^ l]})", l, a) for l, a in ties)
+    for (masks, starts, seg, parent, left, right), cols in _levels(len(rels)):
+        lc, rc, out = card[:, left], card[:, right], card[:, parent]
+        base = cost[:, left] + cost[:, right]
+        # `plan_cost`'s operations in its order, so a plan's cost is one float
+        hash_join = base + (HASH_INPUT_FACTOR * (lc + rc) + out)
+        left_outer = base + (lc + lc * rc + out)
+        right_outer = base + (rc + rc * lc + out)
+        # fmin skips a NaN cost, as a `<=` scan over the splits would
+        best = np.fmin.reduceat(np.fmin(np.fmin(hash_join, left_outer), right_outer),
+                                starts, axis=1)
+        cost[:, masks] = best
+        ties = np.stack((hash_join, left_outer, right_outer)) == best[:, seg]
+        parent_of, left_of, right_of = cols
+        for choice, v, s in zip(*(a.tolist() for a in np.nonzero(ties))):
+            w = win[v]
+            l, r = left_of[s], right_of[s]
+            kl, kr = w[l][0], w[r][0]
+            if choice == 0:
+                a, b = f"({kl} {HASH_JOIN} {kr})", f"({kr} {HASH_JOIN} {kl})"
+                entry = (a, l, HASH_JOIN) if a < b else (b, r, HASH_JOIN)
+            elif choice == 1:
+                entry = (f"({kl} {NESTED_LOOP} {kr})", l, NESTED_LOOP)
+            else:
+                entry = (f"({kr} {NESTED_LOOP} {kl})", r, NESTED_LOOP)
+            mask = parent_of[s]
+            if w[mask] is None or entry < w[mask]:
+                w[mask] = entry
 
-    def build(mask: int) -> PlanTree:
+    def build(w: list, mask: int) -> PlanTree:
         if not mask & (mask - 1):
             return Scan(rels[mask.bit_length() - 1])
-        return Join(build(split[mask]), build(mask ^ split[mask]), algo[mask])
+        _, at, algo = w[mask]
+        return Join(build(w, at), build(w, mask ^ at), algo)
 
-    return build(full)
+    full = size - 1
+    trees = {}
+    for w in win:
+        if w[full][0] not in trees:
+            trees[w[full][0]] = build(w, full)
+    return [trees[w[full][0]] for w in win]
+
+
+def optimize_base(query: Query, catalog: Catalog,
+                  view: CardinalityVector | None = None) -> PlanTree:
+    """Bushy dynamic-programming join enumeration under one estimate view
+    (default: the catalog's estimates).
+
+    The one-view call of `_optimize`, the DP that `gen_candidates` runs over
+    all of its views at once, so a view gets the same plan either way. The
+    result is the argmin of (cost, canonical plan string) over every bushy
+    tree with either join algorithm at each node; O(3^n) split work, for at
+    most 8 relations."""
+    if view is None:
+        view = estimate_vector(query, catalog)
+    return _optimize(query, [view])[0]
 
 
 def gen_candidates(query: Query, catalog: Catalog, n_plans: int,
                    grid: MutationGrid = MutationGrid(),
                    seed: int = 0) -> list[PlanTree]:
-    """Base plan plus up to n_plans de-duplicated mutation-derived plans."""
+    """Base plan plus up to n_plans de-duplicated mutation-derived plans.
+
+    Every mutated view is drawn first, in order, then all views, the base
+    estimate first, are solved in one DP."""
     if n_plans < 0:
         raise ValueError("n_plans must be >= 0")
     gen = rnglib.derive(seed, "plan-mutate")
     base_view = estimate_vector(query, catalog)
-    base = optimize_base(query, catalog, base_view)
-    plans = [base]
-    seen = {base.key()}
-    for _ in range(n_plans):
-        mutated = mutate_cards(base_view, grid, gen)
-        plan = optimize_base(query, catalog, mutated)
+    views = [base_view] + [mutate_cards(base_view, grid, gen) for _ in range(n_plans)]
+    plans, seen = [], set()
+    for plan in _optimize(query, views):
         if plan.key() not in seen:
             seen.add(plan.key())
             plans.append(plan)

@@ -68,16 +68,22 @@ def test_contended_locked_write_waits_without_retry():
     assert eng.store.read("hot").value == 2
 
 
-def test_optimistic_read_records_version():
+def test_optimistic_read_records_version(monkeypatch):
     eng = Engine()
     setup = eng.begin([w("a", 7)])
     eng.execute_op(setup, setup.ops[0], LOCK)
     eng.validate_and_commit(setup)
 
+    reads = []
+    real_read = eng.store.read
+    monkeypatch.setattr(eng.store, "read", lambda key: reads.append(key) or real_read(key))
     txn = eng.begin([r("a")])
     out = eng.execute_op(txn, txn.ops[0], OPT)
     assert out.status is OpStatus.OK
     assert txn.read_versions == {"a": 1}
+    # one store read gives both the version and the value
+    assert reads == ["a"]
+    assert txn.reads == [("a", 7)]
     assert eng.validate_and_commit(txn).status == COMMITTED
 
 
@@ -267,6 +273,7 @@ def assert_contended_matches_scan(eng: Engine, keys) -> None:
     for txn in eng.active.values():
         for key in keys:
             assert eng._contended(txn, key) == reference_contended(eng, txn, key)
+            assert eng._conflicts(txn, key) == bool(eng._blockers(txn, key, "X"))
 
 
 # A handful of keys, so counts tie often and hot_key_count can exceed them.

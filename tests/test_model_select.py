@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from frpkernel import rng as rnglib
 from frpkernel.model_select import (
     InfeasibleBudget,
     ModelSpace,
@@ -334,6 +335,38 @@ def test_select_plan_describes_the_run_on_a_small_space():
     assert plan.planned_filter_cost == result.filter_cost == 4.0
     assert plan.planned_refine_cost == result.refine_cost == 8.0
     assert trainer.batches_consumed == result.epochs_charged == 8
+
+
+def test_trainer_derives_tau_once_per_genome(monkeypatch):
+    space = ModelSpace((4, 4, 4), seed=2)
+    scorer = ProxyScorer(space, rho=0.8, sigma=0.3)
+    derived = []
+    real_derive = rnglib.derive
+
+    def counting_derive(seed, *labels):
+        if labels[:1] == ("tau",):
+            derived.append(labels[1])
+        return real_derive(seed, *labels)
+
+    monkeypatch.setattr(rnglib, "derive", counting_derive)
+    trainer = Trainer(space, noise_sigma=0.05)
+    result = select(space, scorer, trainer, budget=200.0, seed=3)
+    assert len(result.survivor_history) > 2     # genomes trained in 3+ rounds
+    # one derive per genome trained, however many rounds train it
+    assert len(derived) == len(set(derived))
+    assert len(derived) == result.plan.candidate_size
+    # memoized values are the derived ones: a fresh trainer agrees
+    trained = list(derived)
+    for params in trained:
+        fresh = Trainer(space, noise_sigma=0.05)
+        assert trainer.accuracy(params, 3.5) == fresh.accuracy(params, 3.5)
+    assert len(derived) == 2 * len(trained)
+    # the memo lives on the trainer, not the shared space: a new run's
+    # trainer derives again
+    derived.clear()
+    again = select(space, scorer, Trainer(space, noise_sigma=0.05), budget=200.0, seed=3)
+    assert again == result
+    assert len(derived) == result.plan.candidate_size
 
 
 def test_refine_epoch_total_formula():

@@ -5,7 +5,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frpkernel import plan_opt
@@ -141,6 +141,18 @@ def test_true_cost_computed_once_per_tree_and_catalog(monkeypatch):
     before = len(calls)
     assert [true_cost(p, catalog) for p in again] == [true_cost(p, catalog) for p in cands]
     assert len(calls) == before + len(again)
+
+
+def test_true_view_built_once_per_run_of_same_query_and_catalog():
+    catalog = chain_catalog(cd_est=1e-4)
+    cands = gen_candidates(chain_query(), catalog, n_plans=20, seed=3)
+    assert len(cands) > 1
+    plan_opt._true_view.cache_clear()
+    for plan in cands:
+        true_cost(plan, catalog)
+    assert plan_opt._true_view.cache_info().misses == 1
+    # one entry only: the memo cannot outlive the run of calls it serves
+    assert plan_opt._true_view.cache_info().maxsize == 1
 
 
 def test_two_relation_join_picks_cheaper_algorithm():
@@ -517,6 +529,24 @@ def test_dp_matches_frozenset_reference(case):
     for cat in (catalog, other, catalog, other):
         expected = [ref_plan_cost(plan, true_vector(query, cat)) for plan in plans]
         assert [true_cost(plan, cat) for plan in plans] == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(dp_cases(), st.integers(0, 8), st.integers(0, 2 ** 32))
+@example((Query(("a",)), Catalog({"a": RelStats(5, 3)}, {}), []), 4, 0)
+@example((Query(("b", "a"), (("a", "b"),)),
+          Catalog({"a": RelStats(5, 3), "b": RelStats(5, 3)}, {("a", "b"): (0.5, 0.5)}),
+          []), 0, 0)
+def test_candidates_match_per_view_reference(case, n_plans, seed):
+    """All views solved in one DP give, view by view, the frozenset DP's plan."""
+    query, catalog, _ = case
+    gen = rnglib.derive(seed, "plan-mutate")
+    base = estimate_vector(query, catalog)
+    views = [base] + [mutate_cards(base, MutationGrid(), gen) for _ in range(n_plans)]
+    expected = list(dict.fromkeys(ref_optimize(query, view) for view in views))
+    plans = gen_candidates(query, catalog, n_plans, seed=seed)
+    assert [plan.key() for plan in plans] == expected
+    assert [plan.key() for plan in plans] == [ref_key(plan) for plan in plans]
 
 
 def test_join_cache_ignored_by_eq_hash_repr():
