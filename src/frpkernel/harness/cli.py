@@ -38,7 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", type=float, dest="filter_fraction",
                    help="fraction of the budget spent scoring")
     p.add_argument("--eta", type=int, help="halving factor")
-    p.add_argument("--workers", type=int, help="scoring workers")
     p.add_argument("--space-dims", type=_dims, dest="space_dims",
                    help="genome space, e.g. 4,4,4,4")
     p.add_argument("--rho", type=float, help="scorer correlation with quality")

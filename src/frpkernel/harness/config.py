@@ -100,7 +100,6 @@ RULES = {
         "budget": Rule(200.0, float, "> 0"),
         "filter_fraction": Rule(0.2, float, "(0, 1)"),
         "eta": Rule(2, int, ">= 2"),
-        "workers": Rule(1, int, ">= 1"),
         "space_dims": Rule([4, 4, 4, 4], list, ">= 1", item=Rule(REQUIRED, int, ">= 1")),
         "rho": Rule(0.9, float, "[0, 1]"),
         "sigma": Rule(0.1, float, ">= 0"),
@@ -112,7 +111,6 @@ RULES = {
         "trainer_noise": Rule(0.05, float, ">= 0"),
         "oracle": Rule(True, bool),
         "runs": Rule(1, int, ">= 1"),
-        "buffer_capacity": Rule(8, int, ">= 1"),
     }),
     "cc_sim": _mapping({
         "window_ticks": Rule(40, int, ">= 1"),

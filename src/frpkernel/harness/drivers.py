@@ -9,7 +9,6 @@ File writing happens only in run_scenario, after the driver finished.
 
 from __future__ import annotations
 
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +52,6 @@ from ..plan_opt import (
     true_cost,
 )
 from ..recovery import EnclaveSim, RedoLog
-from .buffer import BufferClosed, CircularBuffer
 from .config import BLOCK_OF, ScenarioConfig
 from .metrics import MetricsWriter, write_combined_csv, write_summary
 
@@ -68,22 +66,13 @@ def run_select(params: dict, seed: int):
     runs = []
     slo_met = True
     for i in range(params["runs"]):
-        feed = CircularBuffer(params["buffer_capacity"])
-        producer = threading.Thread(target=_produce_batches, args=(feed,), daemon=True)
-        producer.start()
         trainer = Trainer(space, cost_per_epoch=params["epoch_cost"],
-                          noise_sigma=params["trainer_noise"],
-                          data_source=feed.consume)
-        try:
-            result = select(space, scorer, trainer, params["budget"],
-                            eta=params["eta"],
-                            filter_fraction=params["filter_fraction"],
-                            initial_epochs=params["initial_epochs"],
-                            workers=params["workers"],
-                            seed=rnglib.child_seed(seed, "select", "run", i))
-        finally:
-            feed.close()
-            producer.join(timeout=5.0)
+                          noise_sigma=params["trainer_noise"])
+        result = select(space, scorer, trainer, params["budget"],
+                        eta=params["eta"],
+                        filter_fraction=params["filter_fraction"],
+                        initial_epochs=params["initial_epochs"],
+                        seed=rnglib.child_seed(seed, "select", "run", i))
 
         run = {
             "genome_id": result.genome.genome_id,
@@ -115,16 +104,6 @@ def run_select(params: dict, seed: int):
     if params["oracle"] and runs:
         summary["mean_regret"] = sum(r["regret"] for r in runs) / len(runs)
     return writer, summary, {}
-
-
-def _produce_batches(feed: CircularBuffer) -> None:
-    batch = 0
-    while True:
-        try:
-            feed.produce(batch)
-        except BufferClosed:
-            return
-        batch += 1
 
 
 def _strategy_by_name(name: str, buckets: Bucketizer) -> CCStrategy:

@@ -236,28 +236,29 @@ class ScoredModel:
     score: float
 
 
-def explore_and_score(space: ModelSpace, scorer, n: int, workers: int = 1,
+def explore_and_score(space: ModelSpace, scorer, n: int,
                       seed: int = 0) -> list[ScoredModel]:
     """Regularized evolution until n distinct genomes are scored.
 
     A queue-shaped population holds the most recent genomes; each step samples
     a few members, mutates the best-scoring sample, scores the child, and
-    evicts the oldest. Steps are dealt round-robin to per-worker RNG streams
-    derived from the seed, so any worker count replays deterministically.
+    evicts the oldest. Every draw comes from one RNG stream derived from the
+    seed, so a seed replays deterministically.
     Duplicate proposals fall back to fresh random genomes, then to the first
     unscored genome in enumeration order, so small spaces get fully covered.
     n is capped at the space size.
     """
-    if n < 1 or workers < 1:
-        raise ValueError("n and workers must be >= 1")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     n = min(n, space.size)
-    gens = [rnglib.derive(seed, "explore", w) for w in range(workers)]
+    # the trailing 0 keeps the stream that pinned outputs were drawn from
+    gen = rnglib.derive(seed, "explore", 0)
 
     seen: dict[tuple[int, ...], float] = {}
     scored: list[ScoredModel] = []
     population: list[ScoredModel] = []
 
-    def admit(params, gen) -> None:
+    def admit(params) -> None:
         params = _dedup(params, seen, space, gen)
         model = ScoredModel(space.genome(params), scorer.score(params))
         seen[params] = model.score
@@ -266,18 +267,15 @@ def explore_and_score(space: ModelSpace, scorer, n: int, workers: int = 1,
         if len(population) > POPULATION_SIZE:
             population.pop(0)
 
-    step = 0
     while len(scored) < n:
-        gen = gens[step % workers]
-        step += 1
         if len(scored) < min(POPULATION_SIZE, n):
-            admit(space.random_params(gen), gen)
+            admit(space.random_params(gen))
             continue
         picks = gen.choice(len(population), size=min(SAMPLE_SIZE, len(population)),
                            replace=False)
         parent = max((population[int(i)] for i in picks),
                      key=lambda m: (m.score, -m.genome.genome_id))
-        admit(space.mutate_params(parent.genome.params, gen), gen)
+        admit(space.mutate_params(parent.genome.params, gen))
     return scored
 
 
@@ -308,7 +306,6 @@ class RefineOutcome:
     epochs_charged: int
     survivor_history: list[int] = field(default_factory=list)
     survivor_ids: list[list[int]] = field(default_factory=list)
-    final_accuracy: float = 0.0
 
 
 def refine(candidates: list[ScoredModel], initial_epochs: int, eta: int,
@@ -344,9 +341,7 @@ def refine(candidates: list[ScoredModel], initial_epochs: int, eta: int,
             history.append(len(survivors))
             id_history.append([g.genome_id for g in survivors])
 
-    winner = survivors[0]
-    return RefineOutcome(winner, epochs_charged, history, id_history,
-                         accuracy[winner.genome_id])
+    return RefineOutcome(survivors[0], epochs_charged, history, id_history)
 
 
 @dataclass
@@ -363,11 +358,11 @@ class SelectionResult:
 
 def select(space: ModelSpace, scorer, trainer: Trainer, budget: float,
            eta: int = 2, filter_fraction: float = 0.2, initial_epochs: int = 1,
-           workers: int = 1, seed: int = 0) -> SelectionResult:
+           seed: int = 0) -> SelectionResult:
     """Plan, score, shortlist, and halve; simulated cost never exceeds budget."""
     plan = plan_budget(budget, space.size, scorer.cost, trainer.cost_per_epoch,
                        eta, filter_fraction, initial_epochs)
-    scored = explore_and_score(space, scorer, plan.n_to_score, workers, seed)
+    scored = explore_and_score(space, scorer, plan.n_to_score, seed)
     candidates = take_candidates(scored, plan.candidate_size)
     outcome = refine(candidates, initial_epochs, eta, trainer)
 

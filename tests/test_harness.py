@@ -106,8 +106,10 @@ def test_unknown_top_level_key_rejected():
 
 
 def test_unknown_block_key_rejected():
-    with pytest.raises(ConfigError):
-        build_scenario_config("select", {"select": {"budge": 10}})
+    # workers and buffer_capacity were select keys once; they are unknown now
+    for key in ("budge", "workers", "buffer_capacity"):
+        with pytest.raises(ConfigError, match=f"unknown key select.{key}"):
+            build_scenario_config("select", {"select": {key: 10}})
 
 
 def test_type_errors_rejected(tmp_path):
@@ -297,9 +299,11 @@ def test_cli_exit_codes(tmp_path):
     for name in ("d", "w", "s"):
         assert not (tmp_path / name).exists()
 
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-scenario"])
-    assert exc.value.code == 2
+    for argv in (["no-such-scenario"], ["select", "--workers", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+    assert not (tmp_path / "x").exists()
 
 
 NULL_SELECTIVITIES = """optd:
@@ -326,6 +330,8 @@ CONFIG_ERRORS = {
     "null joins": (["optd"], "optd: {query: {relations: [A, B], joins: null}}"),
     "null selectivities": (["optd"], NULL_SELECTIVITIES),
     "negative hidden_dim": (["gate"], "gate: {hidden_dim: -1}"),
+    "removed select.workers": (["select"], "select: {workers: 2}"),
+    "removed select.buffer_capacity": (["select"], "select: {buffer_capacity: 8}"),
 }
 
 
@@ -369,9 +375,33 @@ def test_shipped_config_validates(path, capsys):
     assert build_scenario_config(scenario, load_config_file(path), seed=3).seed == 3
 
 
-def test_shipped_optd_config_runs(tmp_path):
-    path = CONFIG_DIR / "optd_chain.yaml"
-    assert main(["optd", "--config", str(path), "--out", str(tmp_path)]) == 0
+# sha256 of each output file of the shipped configs, each run at its own
+# seed. Same rule as FULL_SEED0_SHA256: a change that alters these bytes on
+# purpose updates the digests and says why in CHANGES.md.
+SHIPPED_CONFIG_SHA256 = {
+    "cc_shift.yaml": {
+        "cc_sim_metrics.csv": "9b6f3556fe57081de353a614b365bb068016f7fd8dcbc03589e6d9237ce83db9",
+        "cc_sim_summary.json": "025af7383fb7008bf5a1158716a4910d9d23cb0033f50a42a30a4995c12761dc",
+    },
+    "optd_chain.yaml": {
+        "optd_metrics.csv": "838045b73ac8c6519313ae5bc942641a1706d7880897b2c23538a68baadcf320",
+        "optd_summary.json": "3e403f35b10c05fe58846f20db59e153f5b220c65a69efc0fbdedeedb5039a29",
+    },
+    "select_budgets.yaml": {
+        "select_metrics.csv": "fd75636c2fa3a4114afafc37aa5e025ed39fc657f84cf55c8271b5419cac9a1b",
+        "select_summary.json": "dc7169f874b4ad5a51f1c85a265aeb7fe0deea7bb515b120855297af15af9ab9",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_CONFIG_SHA256))
+def test_shipped_config_outputs_match_pinned_digests(name, tmp_path):
+    path = CONFIG_DIR / name
+    scenario = yaml.safe_load(path.read_text())["scenario"]
+    assert main([scenario, "--config", str(path), "--out", str(tmp_path)]) == 0
+    digests = {out.name: hashlib.sha256(out.read_bytes()).hexdigest()
+               for out in tmp_path.iterdir()}
+    assert digests == SHIPPED_CONFIG_SHA256[name]
 
 
 def test_gate_cli_prints_json(tmp_path, capsys):

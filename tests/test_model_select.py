@@ -166,16 +166,11 @@ def test_explore_caps_n_at_space_size():
     assert len(scored) == 4
 
 
-def test_explore_deterministic_and_worker_count_changes_only_order():
+def test_explore_deterministic_per_seed():
     space = small_space(dims=(4, 4, 4))
     scorer = ProxyScorer(space, rho=0.8, sigma=0.2)
-    serial_a = explore_and_score(space, scorer, n=20, workers=1, seed=7)
-    serial_b = explore_and_score(space, scorer, n=20, workers=1, seed=7)
-    assert serial_a == serial_b
-    par_a = explore_and_score(space, scorer, n=20, workers=4, seed=7)
-    par_b = explore_and_score(space, scorer, n=20, workers=4, seed=7)
-    assert {m.genome.genome_id for m in par_a} == {m.genome.genome_id for m in par_b}
-    assert par_a == par_b  # the worker schedule is part of the replay
+    assert (explore_and_score(space, scorer, n=20, seed=7)
+            == explore_and_score(space, scorer, n=20, seed=7))
 
 
 # -- take_candidates ---------------------------------------------------------------
