@@ -305,7 +305,6 @@ class RefineOutcome:
     winner: ModelGenome
     epochs_charged: int
     survivor_history: list[int] = field(default_factory=list)
-    survivor_ids: list[list[int]] = field(default_factory=list)
 
 
 def refine(candidates: list[ScoredModel], initial_epochs: int, eta: int,
@@ -322,7 +321,6 @@ def refine(candidates: list[ScoredModel], initial_epochs: int, eta: int,
     trained: dict[int, int] = {g.genome_id: 0 for g in survivors}
     accuracy: dict[int, float] = {}
     history = [len(survivors)]
-    id_history = [[g.genome_id for g in survivors]]
     epochs_charged = 0
 
     rounds = halving_schedule(len(survivors), initial_epochs, eta)
@@ -339,9 +337,8 @@ def refine(candidates: list[ScoredModel], initial_epochs: int, eta: int,
                 survivors,
                 key=lambda g: (-accuracy[g.genome_id], g.genome_id))[:keep]
             history.append(len(survivors))
-            id_history.append([g.genome_id for g in survivors])
 
-    return RefineOutcome(survivors[0], epochs_charged, history, id_history)
+    return RefineOutcome(survivors[0], epochs_charged, history)
 
 
 @dataclass

@@ -16,16 +16,18 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import attrgetter
-from typing import NamedTuple
 
 from .engine import INITIAL_VALUE, Record, compute_checksum
 
 MAGIC = "FRPLOG"
 FORMAT_VERSION = "1"
 DIGEST_ALGO = "sha256"
+_HEX64 = re.compile("[0-9a-f]{64}")
 
 
 class LogError(Exception):
@@ -39,9 +41,8 @@ class LogCorrupt(LogError):
 class RecoveryRefused(LogError):
     """Recovery found the log suspect and rebuilt nothing.
 
-    Raised when the log's sequence numbers are out of order, when a seal
-    overlapping the replayed range fails to verify, or when a replayed entry
-    is covered by no valid seal.
+    Raised when a seal overlapping the replayed range fails to verify, or
+    when a replayed entry is covered by no valid seal.
     """
 
 
@@ -57,13 +58,8 @@ class EnclaveSim:
     the key.
     """
 
-    def __init__(self, seed: int | None = None):
-        if seed is not None:
-            self._mac_key = hashlib.sha256(f"enclave:{seed}".encode()).digest()
-        else:
-            import os
-
-            self._mac_key = os.urandom(32)
+    def __init__(self, seed: int):
+        self._mac_key = hashlib.sha256(f"enclave:{seed}".encode()).digest()
 
     def sign(self, digest: str) -> str:
         return hmac.new(self._mac_key, digest.encode(), hashlib.sha256).hexdigest()
@@ -115,18 +111,6 @@ class TxnSeal:
         )
 
 
-class _SealIndex(NamedTuple):
-    """What the replay check needs from a log's records, derived in one pass,
-    and the seal verdicts reached on those records under `enclave`."""
-
-    ordered: bool       # every record's lsn equals its position
-    seals: list         # every TxnSeal, in record order
-    by_first: list      # the non-empty seals by first_lsn, record order on ties
-    reach: list         # reach[j]: the largest last_lsn in by_first[:j + 1]
-    enclave: EnclaveSim  # the signer the verdicts were reached under
-    verdicts: dict      # seal lsn -> _seal_ok result, filled as seals are checked
-
-
 def _check_key(key: str) -> str:
     if "|" in key or "\n" in key or not key:
         raise ValueError(f"illegal key for log: {key!r}")
@@ -134,21 +118,29 @@ def _check_key(key: str) -> str:
 
 
 class RedoLog:
+    """An append-only redo log. Records enter only through `append_redo`,
+    `seal_txn` and `from_text`, each via `_index_record`, so every record's
+    lsn equals its position, and state derived from the records only has to
+    catch up with appends, never with an edit."""
+
     def __init__(self, enclave: EnclaveSim, anchor_every: int = 4):
         if anchor_every < 1:
             raise ValueError("anchor_every must be >= 1")
-        self.enclave = enclave
+        self._enclave = enclave
         self.anchor_every = anchor_every
-        self.records: list = []
-        # derived from `records` by _index_record, on append and on load
+        self._records: list = []
+        # derived from `_records` by _index_record, on append and on load
         self._latest: dict[str, tuple[int, int]] = {}   # key -> (value, version)
         self._txn_lsns: dict[int, list[int]] = {}
         self._sealed: set[int] = set()
         self._key_redos: dict[str, list[int]] = {}
         self._key_anchors: dict[str, list[int]] = {}
-        # _seal_index() derives this from `records`; _indexed is what it saw
-        self._indexed: list = []
-        self._index = _SealIndex(True, [], [], [], enclave, {})
+        # derived by _index_seals from the first _indexed records
+        self._indexed = 0
+        self._seals: list = []      # every TxnSeal, in record order
+        self._by_first: list = []   # non-empty seals by first_lsn, record order on ties
+        self._reach: list = []      # _reach[j]: largest last_lsn in _by_first[:j + 1]
+        self._verdicts: dict[int, bool] = {}   # seal lsn -> _seal_ok(seal)
         # running totals of _range_digest's work; recover reports its share
         self._seals_hashed = 0
         self._bytes_hashed = 0
@@ -156,6 +148,14 @@ class RedoLog:
         self.last_seals_verified = 0
         self.last_seals_hashed = 0
         self.last_bytes_scanned = 0
+
+    @property
+    def records(self) -> tuple:
+        return tuple(self._records)
+
+    @property
+    def enclave(self) -> EnclaveSim:
+        return self._enclave
 
     # -- append side --------------------------------------------------------
 
@@ -165,7 +165,7 @@ class RedoLog:
     def append_redo(self, txn_id: int, key: str, new_value: int) -> int:
         _check_key(key)
         mod_index = self.expected_state(key)[1] + 1
-        lsn = len(self.records)
+        lsn = len(self._records)
         self._index_record(RedoEntry(lsn, txn_id, key, new_value, mod_index))
         if mod_index % self.anchor_every == 0:
             self._index_record(AnchorEntry(lsn + 1, key, new_value, mod_index,
@@ -185,8 +185,8 @@ class RedoLog:
         else:
             first = last = -1
         digest = self._range_digest(txn_id, first, last)
-        seal = TxnSeal(len(self.records), txn_id, first, last, digest,
-                       self.enclave.sign(digest))
+        seal = TxnSeal(len(self._records), txn_id, first, last, digest,
+                       self._enclave.sign(digest))
         self._index_record(seal)
         return seal
 
@@ -195,7 +195,7 @@ class RedoLog:
         scanned = 0
         if first >= 0:
             for lsn in range(first, last + 1):
-                line = self.records[lsn].line().encode()
+                line = self._records[lsn].line().encode()
                 h.update(b"\n")
                 h.update(line)
                 scanned += len(line)
@@ -206,42 +206,30 @@ class RedoLog:
     # -- verification ---------------------------------------------------------
 
     def verify_log(self) -> bool:
-        """True iff lsns are gap-free and every seal checks out."""
-        index = self._seal_index()
-        return index.ordered and all(self._verdict(index, seal)
-                                     for seal in index.seals)
+        """True iff every seal checks out; lsns are gap-free by construction."""
+        self._index_seals()
+        return all(self._verdict(seal) for seal in self._seals)
 
-    def _seal_index(self) -> _SealIndex:
-        """The _SealIndex of `records`, rebuilt only when `records` no longer
-        equals the shallow copy taken at the last build or `enclave` is no
-        longer the object it was built under. List equality checks identity
-        first, so an unchanged log costs one pass of pointer compares, while
-        any in-memory edit (replace, pop, insert, append) triggers a rebuild.
-        The seal verdicts live in the index, so each seal is verified at most
-        once per log state and the verdicts are dropped with the index:
-        records are frozen, so equal records give an equal verdict, and a
-        verdict reached under one MAC key never answers for another."""
-        records = self.records
-        if records != self._indexed or self.enclave is not self._index.enclave:
-            seals = [rec for rec in records if isinstance(rec, TxnSeal)]
-            by_first = sorted((s for s in seals if s.first_lsn >= 0),
-                              key=attrgetter("first_lsn"))
-            reach, top = [], -1
-            for seal in by_first:
-                top = max(top, seal.last_lsn)
-                reach.append(top)
-            self._index = _SealIndex(
-                all(rec.lsn == i for i, rec in enumerate(records)), seals,
-                by_first, reach, self.enclave, {})
-            self._indexed = list(records)
-        return self._index
+    def _index_seals(self) -> None:
+        """Bring `_seals`, `_by_first` and `_reach` up to date with the
+        records appended since the last call; an unchanged log costs one
+        length compare."""
+        records = self._records
+        if self._indexed != len(records):
+            self._seals += [rec for rec in records[self._indexed:]
+                            if isinstance(rec, TxnSeal)]
+            self._by_first = sorted((s for s in self._seals if s.first_lsn >= 0),
+                                    key=attrgetter("first_lsn"))
+            self._reach = list(accumulate((s.last_lsn for s in self._by_first), max))
+            self._indexed = len(records)
 
-    def _verdict(self, index: _SealIndex, seal: TxnSeal) -> bool:
-        """`_seal_ok(seal)`, cached in `index`. Only called once
-        `index.ordered` holds, so seal lsns are distinct positions."""
-        ok = index.verdicts.get(seal.lsn)
+    def _verdict(self, seal: TxnSeal) -> bool:
+        """`_seal_ok(seal)`, computed once per seal for the log's life: a
+        seal's verdict reads only the records before it, which are never
+        edited, and the enclave is fixed."""
+        ok = self._verdicts.get(seal.lsn)
         if ok is None:
-            ok = index.verdicts[seal.lsn] = self._seal_ok(seal)
+            ok = self._verdicts[seal.lsn] = self._seal_ok(seal)
         return ok
 
     def _seal_ok(self, seal: TxnSeal) -> bool:
@@ -249,14 +237,12 @@ class RedoLog:
             # an empty range's digest binds only the txn id, not the -1/-1
             if (seal.first_lsn, seal.last_lsn) != (-1, -1):
                 return False
-        elif seal.last_lsn < seal.first_lsn or seal.last_lsn >= len(self.records):
-            return False
-        elif seal.last_lsn >= seal.lsn:    # seal must follow its entries
-            return False
+        elif seal.last_lsn < seal.first_lsn or seal.last_lsn >= seal.lsn:
+            return False    # a seal must follow its entries
         recomputed = self._range_digest(seal.txn_id, seal.first_lsn, seal.last_lsn)
         if recomputed != seal.digest:
             return False
-        return self.enclave.verify(seal.digest, seal.signature)
+        return self._enclave.verify(seal.digest, seal.signature)
 
     # -- trusted state and repair ---------------------------------------------
 
@@ -272,7 +258,7 @@ class RedoLog:
         """(base_record, redo_lsns) recovery would use; replay is bounded by n."""
         anchors = self._key_anchors.get(key, [])
         if anchors:
-            anchor: AnchorEntry = self.records[anchors[-1]]
+            anchor: AnchorEntry = self._records[anchors[-1]]
             base = Record(key, anchor.full_value, anchor.full_version,
                           compute_checksum(key, anchor.full_value, anchor.full_version))
             start = anchor.lsn
@@ -285,23 +271,22 @@ class RedoLog:
     def recover(self, key: str) -> Record:
         """Rebuild `key` from its latest anchor plus the redo entries after it.
 
-        Before replaying, recovery checks that every record's lsn equals its
-        position, verifies every non-empty seal whose range overlaps the
-        replayed range [anchor, last redo] in lsn order (also seals of other
-        transactions inside it), and checks that each replayed entry lies in
-        a verified seal; any failure raises RecoveryRefused. The anchor and
-        the redo lsns come from per-key maps that `_index_record` extends as
-        each record is appended or loaded. The lsn check and the seal lookup
-        read an index built once per log state (see `_seal_index`, one extra
-        pointer per record), so a recovery costs the seals in its range, not
-        the log length. Each seal is verified at most once per log state:
-        its verdict is kept in the index, which `verify_log` shares, and is
-        dropped when the index is rebuilt. `last_replay_count` and
-        `last_seals_verified` report the replayed entries and the seals
-        checked; `last_seals_hashed` and `last_bytes_scanned` report the
-        seals whose digest this call recomputed and the bytes of entry lines
-        it hashed for them, both 0 when every verdict was already known. A
-        refused call reports 0 replayed and 0 verified, and what it hashed.
+        Before replaying, recovery verifies every non-empty seal whose range
+        overlaps the replayed range [anchor, last redo] in lsn order (also
+        seals of other transactions inside it), and checks that each replayed
+        entry lies in a verified seal; any failure raises RecoveryRefused.
+        The anchor and the redo lsns come from per-key maps that
+        `_index_record` extends as each record is appended or loaded. The
+        seal lookup reads an index brought up to date with the appended
+        records (see `_index_seals`), so a recovery costs the seals in its
+        range, not the log length. Each seal is verified at most once in the
+        log's life: its verdict is kept, and `verify_log` shares it.
+        `last_replay_count` and `last_seals_verified` report the replayed
+        entries and the seals checked; `last_seals_hashed` and
+        `last_bytes_scanned` report the seals whose digest this call
+        recomputed and the bytes of entry lines it hashed for them, both 0
+        when every verdict was already known. A refused call reports 0
+        replayed and 0 verified, and what it hashed.
         """
         self.last_replay_count = self.last_seals_verified = 0
         hashed, scanned = self._seals_hashed, self._bytes_hashed
@@ -317,28 +302,27 @@ class RedoLog:
             self.last_bytes_scanned = self._bytes_hashed - scanned
         value, version = base.value, base.version
         for lsn in redo_lsns:
-            entry: RedoEntry = self.records[lsn]
+            entry: RedoEntry = self._records[lsn]
             value, version = entry.new_value, entry.mod_index
         self.last_replay_count = len(redo_lsns)
         return Record(key, value, version, compute_checksum(key, value, version))
 
     def _check_replay_range(self, lo: int, hi: int, touched: list[int]) -> int:
         """Verify the seals overlapping [lo, hi]; return how many were verified."""
-        index = self._seal_index()
-        if not index.ordered:
-            raise RecoveryRefused("log sequence numbers out of order")
+        self._index_seals()
+        by_first, reach = self._by_first, self._reach
         # seals with first_lsn <= hi form a prefix of by_first; walk it back
         # while some seal left in it still reaches lo
         overlapping = []
-        j = bisect_right(index.by_first, hi, key=attrgetter("first_lsn"))
-        while j > 0 and index.reach[j - 1] >= lo:
+        j = bisect_right(by_first, hi, key=attrgetter("first_lsn"))
+        while j > 0 and reach[j - 1] >= lo:
             j -= 1
-            if index.by_first[j].last_lsn >= lo:
-                overlapping.append(index.by_first[j])
+            if by_first[j].last_lsn >= lo:
+                overlapping.append(by_first[j])
         overlapping.sort(key=attrgetter("lsn"))
         covered: set[int] = set()
         for rec in overlapping:
-            if not self._verdict(index, rec):
+            if not self._verdict(rec):
                 raise RecoveryRefused(f"seal at lsn {rec.lsn} failed verification")
             covered.update(range(rec.first_lsn, rec.last_lsn + 1))
         missing = [l for l in touched if l not in covered]
@@ -350,10 +334,10 @@ class RedoLog:
 
     def _header_line(self) -> str:
         prefix = f"{MAGIC}|{FORMAT_VERSION}|{DIGEST_ALGO}|{self.anchor_every}"
-        return f"{prefix}|{self.enclave.sign(prefix)}"
+        return f"{prefix}|{self._enclave.sign(prefix)}"
 
     def to_text(self) -> str:
-        lines = [self._header_line()] + [rec.line() for rec in self.records]
+        lines = [self._header_line()] + [rec.line() for rec in self._records]
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -373,7 +357,7 @@ class RedoLog:
         if n < 1:
             raise LogCorrupt("bad anchor interval")
         prefix = "|".join(head[:4])
-        if not enclave.verify(prefix, head[4]):
+        if not enclave.verify(prefix, _parse_hex(head[4])):
             raise LogCorrupt("header MAC mismatch")
 
         log = cls(enclave, anchor_every=n)
@@ -381,16 +365,16 @@ class RedoLog:
             rec = _parse_record(raw)
             if rec.line() != raw:
                 raise LogCorrupt(f"non-canonical record: {raw!r}")
-            if rec.lsn != len(log.records):
+            if rec.lsn != len(log._records):
                 raise LogCorrupt(f"lsn gap at {rec.lsn}")
             log._index_record(rec)
         return log
 
     def _index_record(self, rec) -> None:
-        """Append `rec` to `records` and derive the per-txn and per-key maps
+        """Append `rec` to `_records` and derive the per-txn and per-key maps
         from it. Appends and loads both go through here, so a reloaded log
         has the same maps as the one that wrote it."""
-        self.records.append(rec)
+        self._records.append(rec)
         if isinstance(rec, RedoEntry):
             self._txn_lsns.setdefault(rec.txn_id, []).append(rec.lsn)
             self._key_redos.setdefault(rec.key, []).append(rec.lsn)
@@ -398,7 +382,7 @@ class RedoLog:
         elif isinstance(rec, AnchorEntry):
             self._key_anchors.setdefault(rec.key, []).append(rec.lsn)
             # anchors ride in the committing txn's contiguous range
-            prev = self.records[rec.lsn - 1] if rec.lsn > 0 else None
+            prev = self._records[rec.lsn - 1] if rec.lsn > 0 else None
             if isinstance(prev, RedoEntry) and prev.key == rec.key:
                 self._txn_lsns.setdefault(prev.txn_id, []).append(rec.lsn)
         elif isinstance(rec, TxnSeal):
@@ -416,6 +400,13 @@ def _parse_int(text: str) -> int:
     return value
 
 
+def _parse_hex(text: str) -> str:
+    """A sha256 hex digest or MAC as `hexdigest()` writes it."""
+    if not _HEX64.fullmatch(text):
+        raise LogCorrupt(f"not a lowercase sha256 hex string: {text!r}")
+    return text
+
+
 def _parse_record(raw: str):
     parts = raw.split("|")
     tag = parts[0] if parts else ""
@@ -431,7 +422,7 @@ def _parse_record(raw: str):
         if tag == "S" and len(parts) == 7:
             return TxnSeal(_parse_int(parts[1]), _parse_int(parts[2]),
                            _parse_int(parts[3]), _parse_int(parts[4]),
-                           parts[5], parts[6])
+                           _parse_hex(parts[5]), _parse_hex(parts[6]))
     except ValueError as exc:
         raise LogCorrupt(str(exc)) from None
     raise LogCorrupt(f"unparseable record: {raw!r}")

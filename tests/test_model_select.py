@@ -219,6 +219,15 @@ def test_refine_single_candidate_trains_initial_epochs():
 def test_refine_sixteen_candidates_halving_arithmetic():
     space = small_space(dims=(4, 4, 4, 4))
     trainer = Trainer(space)
+    # record which genomes each round trains: round r trains every survivor
+    # up to 2 ** (r + 1) - 1 cumulative epochs
+    trained, accuracy = {}, trainer.accuracy
+
+    def recording(params, cumulative_epochs):
+        trained.setdefault(cumulative_epochs, []).append(params)
+        return accuracy(params, cumulative_epochs)
+
+    trainer.accuracy = recording
     scored = explore_and_score(space, ProxyScorer(space), n=16, seed=3)
     out = refine(scored, initial_epochs=1, eta=2, trainer=trainer)
     assert out.survivor_history == [16, 8, 4, 2, 1]
@@ -226,8 +235,11 @@ def test_refine_sixteen_candidates_halving_arithmetic():
     # each round spends exactly K * U_init epochs
     spends = [size * (2 ** r) for r, size in enumerate(out.survivor_history[:-1])]
     assert spends == [16, 16, 16, 16]
-    # every round's survivors come from the previous round
-    for earlier, later in zip(out.survivor_ids, out.survivor_ids[1:]):
+    # every round trains its survivors once, all from the previous round
+    rounds = [trained[epochs] for epochs in sorted(trained)]
+    assert sorted(trained) == [1, 3, 7, 15]
+    assert [len(set(r)) for r in rounds] == [len(r) for r in rounds] == [16, 8, 4, 2]
+    for earlier, later in zip(rounds, rounds[1:]):
         assert set(later) <= set(earlier)
 
 

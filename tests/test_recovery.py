@@ -30,6 +30,24 @@ def append_and_seal(log, txn_id, writes):
     log.seal_txn(txn_id)
 
 
+def reload(log, lines=None):
+    """`log` as `from_text` loads it from its serialized record lines,
+    `lines` (objects with a `.line()`, by default `log.records`): where a
+    tamperer's edit enters the program."""
+    lines = log.records if lines is None else lines
+    text = "\n".join([log.to_text().split("\n", 1)[0]]
+                     + [rec.line() for rec in lines]) + "\n"
+    return RedoLog.from_text(text, log.enclave)
+
+
+def edited(log, *records):
+    """`log` reloaded with each of `records` in place of the line at its lsn."""
+    lines = list(log.records)
+    for rec in records:
+        lines[rec.lsn] = rec
+    return reload(log, lines)
+
+
 def shadow_replay(log):
     """Oracle: replay every redo entry from lsn 0, ignoring anchors."""
     state = {}
@@ -97,15 +115,16 @@ def test_tampered_entry_fails_verification():
     append_and_seal(log, 1, [("x", 5), ("y", 6)])
     assert log.verify_log()
     entry = log.records[0]
-    log.records[0] = RedoEntry(entry.lsn, entry.txn_id, entry.key, 999, entry.mod_index)
-    assert not log.verify_log()
+    tampered = edited(log, RedoEntry(entry.lsn, entry.txn_id, entry.key, 999,
+                                     entry.mod_index))
+    assert not tampered.verify_log()
 
 
 def test_deleted_entry_leaves_lsn_gap():
     log = make_log()
     append_and_seal(log, 1, [("x", 5), ("y", 6)])
-    log.records.pop(0)
-    assert not log.verify_log()
+    with pytest.raises(LogCorrupt, match="lsn gap"):
+        reload(log, log.records[1:])
 
 
 def test_flipped_signature_detected():
@@ -113,10 +132,28 @@ def test_flipped_signature_detected():
     append_and_seal(log, 1, [("x", 5)])
     seal = next(rec for rec in log.records if isinstance(rec, TxnSeal))
     bad = "0" if seal.signature[0] != "0" else "1"
-    log.records[seal.lsn] = TxnSeal(seal.lsn, seal.txn_id, seal.first_lsn,
-                                    seal.last_lsn, seal.digest,
-                                    bad + seal.signature[1:])
-    assert not log.verify_log()
+    tampered = edited(log, TxnSeal(seal.lsn, seal.txn_id, seal.first_lsn,
+                                   seal.last_lsn, seal.digest,
+                                   bad + seal.signature[1:]))
+    assert not tampered.verify_log()
+
+
+def test_non_hex_digest_or_mac_is_corrupt():
+    """A MAC or digest that is no lowercase hex string ends in LogCorrupt
+    at load, not in a TypeError from `hmac.compare_digest` later on: no
+    single-bit flip makes valid non-ASCII UTF-8, so the sweeps miss it."""
+    log = make_log()
+    append_and_seal(log, 1, [("x", 5)])
+    header, redo, seal = log.to_text().splitlines()
+    head, _, mac = header.rpartition("|")
+    fields = seal.split("|")
+    digest_bad = "|".join(fields[:5] + ["é" + fields[5][1:], fields[6]])
+    signature_bad = "|".join(fields[:6] + ["é" + fields[6][1:]])
+    upper_bad = "|".join(fields[:6] + [fields[6].upper()])
+    for lines in ([f"{head}|é{mac[1:]}", redo, seal], [header, redo, digest_bad],
+                  [header, redo, signature_bad], [header, redo, upper_bad]):
+        with pytest.raises(LogCorrupt):
+            RedoLog.from_text("\n".join(lines) + "\n", log.enclave)
 
 
 def missed_flips(log):
@@ -162,12 +199,10 @@ def test_empty_seal_with_rewritten_range_fails():
     append_and_seal(log, 2, [])
     seal = log.records[-1]
     for first, last in ((-7, 1), (-1, 0), (-3, -1), (-1, -2)):
-        log.records[-1] = dataclasses.replace(seal, first_lsn=first, last_lsn=last)
-        assert not log.verify_log()
-        loaded = RedoLog.from_text(log.to_text(), log.enclave)
-        assert not loaded.verify_log()
-    log.records[-1] = seal
-    assert log.verify_log()
+        tampered = edited(log, dataclasses.replace(seal, first_lsn=first,
+                                                   last_lsn=last))
+        assert not tampered.verify_log()
+    assert log.verify_log() and reload(log).verify_log()
 
 
 def test_detect_tamper_cases():
@@ -235,9 +270,10 @@ def test_recover_refused_when_replayed_range_tampered():
     for i in range(1, 4):
         append_and_seal(log, i, [("x", i)])
     entry = log.records[2]
-    log.records[2] = RedoEntry(entry.lsn, entry.txn_id, entry.key, 999, entry.mod_index)
+    tampered = edited(log, RedoEntry(entry.lsn, entry.txn_id, entry.key, 999,
+                                     entry.mod_index))
     with pytest.raises(RecoveryRefused):
-        log.recover("x")
+        tampered.recover("x")
 
 
 def test_refused_recover_reports_its_own_counters():
@@ -248,59 +284,52 @@ def test_refused_recover_reports_its_own_counters():
     assert (log.last_replay_count, log.last_seals_verified,
             log.last_seals_hashed) == (3, 3, 3)
     y_lsn = log.replay_plan("y")[1][-1]
-    log.records[y_lsn] = dataclasses.replace(log.records[y_lsn], new_value=99999)
+    tampered = edited(log, dataclasses.replace(log.records[y_lsn],
+                                               new_value=99999))
     with pytest.raises(RecoveryRefused):
-        log.recover("y")
-    # the edit dropped every verdict, so all three seals over y's range were
-    # rehashed, the tampered last one included; none was replayed or passed
-    redo_lines = [rec.line().encode() for rec in log.records
+        tampered.recover("y")
+    # the reloaded log knew no verdict, so all three seals over y's range
+    # were hashed, the tampered last one included; none was replayed or passed
+    redo_lines = [rec.line().encode() for rec in tampered.records
                   if isinstance(rec, RedoEntry)]
-    assert (log.last_replay_count, log.last_seals_verified,
-            log.last_seals_hashed) == (0, 0, 3)
-    assert log.last_bytes_scanned == sum(map(len, redo_lines))
-
-
-def test_record_edit_drops_cached_verdicts():
-    log = make_log(n=4)
-    for i in range(1, 7):
-        append_and_seal(log, i, [("x", i), (f"k{i % 3}", i)])
-    assert log.verify_log()
-    log.recover("x")
-    lsn = log.replay_plan("x")[1][-1]
-    original = log.records[lsn]
-    log.records[lsn] = dataclasses.replace(original, new_value=999)
-    assert not log.verify_log()
+    assert (tampered.last_replay_count, tampered.last_seals_verified,
+            tampered.last_seals_hashed) == (0, 0, 3)
+    assert tampered.last_bytes_scanned == sum(map(len, redo_lines))
+    # a retry is refused again on the kept verdicts and hashes nothing
     with pytest.raises(RecoveryRefused):
-        log.recover("x")
-    log.records[lsn] = original
-    assert log.verify_log()
-    assert log.recover("x").value == 6
+        tampered.recover("y")
+    assert (tampered.last_replay_count, tampered.last_seals_verified,
+            tampered.last_seals_hashed, tampered.last_bytes_scanned) == (0, 0, 0, 0)
 
 
-def test_enclave_change_drops_cached_verdicts():
+def test_log_is_append_only():
+    """Records enter only by append, seal or load: the record view and the
+    enclave cannot be edited or reassigned in memory."""
     log = make_log(n=4, seed=1)
-    for i in range(1, 7):
-        append_and_seal(log, i, [("x", i)])
-    enclave = log.enclave
-    assert log.verify_log()
-    log.recover("x")
-    log.enclave = EnclaveSim(seed=2)
-    assert not log.verify_log()
-    with pytest.raises(RecoveryRefused):
-        log.recover("x")
-    log.enclave = enclave
-    assert log.verify_log()
-    assert log.recover("x").value == 6
+    append_and_seal(log, 1, [("x", 5)])
+    records = log.records
+    with pytest.raises(TypeError):
+        log.records[0] = dataclasses.replace(records[0], new_value=999)
+    with pytest.raises(AttributeError):
+        log.records.pop()
+    with pytest.raises(AttributeError):
+        log.records.append(records[0])
+    with pytest.raises(AttributeError):
+        log.records = []
+    with pytest.raises(AttributeError):
+        log.enclave = EnclaveSim(seed=2)
+    assert log.records == records and log.verify_log()
+    assert log.recover("x").value == 5
 
 
 def test_recover_refused_for_unsealed_injected_entry():
     log = make_log(n=4)
     append_and_seal(log, 1, [("x", 5)])
-    log.records.append(RedoEntry(len(log.records), 9, "x", 666, 2))
-    log._key_redos["x"].append(log.records[-1].lsn)
-    log._latest["x"] = (666, 2)
-    with pytest.raises(RecoveryRefused):
-        log.recover("x")
+    injected = RedoEntry(len(log.records), 9, "x", 666, 2)
+    tampered = reload(log, [*log.records, injected])
+    assert tampered.expected_state("x") == (666, 2)
+    with pytest.raises(RecoveryRefused, match="not covered"):
+        tampered.recover("x")
 
 
 def test_save_load_roundtrip():
@@ -385,17 +414,14 @@ def test_seals_verified_independent_of_log_prefix():
 
 def reference_recover(log, key):
     """`RedoLog.recover` as it was before the seal index: the replay check
-    rescans every record for lsn order and for the seals overlapping the
-    replayed range. Returns (record, replayed entries, seals verified)."""
+    rescans every record for the seals overlapping the replayed range.
+    Returns (record, replayed entries, seals verified)."""
     base, redo_lsns = log.replay_plan(key)
     anchors = log._key_anchors.get(key, [])
     touched = ([anchors[-1]] if anchors else []) + redo_lsns
     verified = 0
     if touched:
         lo, hi = min(touched), max(touched)
-        for i, rec in enumerate(log.records):
-            if rec.lsn != i:
-                raise RecoveryRefused("log sequence numbers out of order")
         covered = set()
         for rec in log.records:
             if not isinstance(rec, TxnSeal):
@@ -420,13 +446,8 @@ def reference_recover(log, key):
 def reference_verify_log(log):
     """`RedoLog.verify_log()` over the whole log, as it was before the seal
     index."""
-    for i, rec in enumerate(log.records):
-        if rec.lsn != i:
-            return False
-    for rec in log.records:
-        if isinstance(rec, TxnSeal) and not log._seal_ok(rec):
-            return False
-    return True
+    return all(log._seal_ok(rec) for rec in log.records
+               if isinstance(rec, TxnSeal))
 
 
 def outcome(fn):
@@ -442,8 +463,8 @@ def recovered(log, key):
 
 
 ORACLE_KEYS = "abcd"
-# drawn with these weights: after a pop or an lsn rewrite every recovery
-# refuses on lsn order alone, hiding the seal checks behind it
+# drawn with these weights: a pop (but of the last record) or an lsn rewrite
+# fails to load, which leaves the round on the unmutated log
 MUTATIONS = ("value", "value", "value", "range", "swap", "duplicate",
              "append", "append", "pop", "lsn")
 
@@ -482,12 +503,14 @@ def interleaved_log(n, events, seal_rest):
 
 
 def mutate(log, kind, at, other, fresh_txn):
-    records = log.records
+    """`log` after one mutation: an appended txn, or an edit of its
+    serialized record lines reloaded by `from_text`."""
     if kind == "append":
         append_and_seal(log, fresh_txn, [(ORACLE_KEYS[at % 4], other % 100)])
-        return
+        return log
+    records = list(log.records)
     if not records:
-        return
+        return log
     i, j = at % len(records), other % len(records)
     rec = records[i]
     if kind == "value":
@@ -500,7 +523,7 @@ def mutate(log, kind, at, other, fresh_txn):
     elif kind == "range":
         seals = [k for k, r in enumerate(records) if isinstance(r, TxnSeal)]
         if not seals:
-            return
+            return log
         k = seals[at % len(seals)]
         s = records[k]
         ranges = [(s.first_lsn - 1, s.last_lsn), (s.first_lsn, s.last_lsn + 1),
@@ -510,13 +533,18 @@ def mutate(log, kind, at, other, fresh_txn):
         records[k] = dataclasses.replace(s, first_lsn=first, last_lsn=last)
     elif kind == "pop":
         records.pop(i)
-    elif kind == "swap":    # renumbered, so lsn order still holds
+    elif kind == "swap":    # renumbered, so the lsns stay gap-free
         records[i], records[j] = (dataclasses.replace(records[j], lsn=i),
                                   dataclasses.replace(rec, lsn=j))
     elif kind == "duplicate":
         records[i] = dataclasses.replace(records[j], lsn=i)
     elif kind == "lsn":
         records[i] = dataclasses.replace(rec, lsn=rec.lsn + 1 + other % 3)
+    if kind == "lsn" or (kind == "pop" and i < len(records)):
+        with pytest.raises(LogCorrupt, match="lsn gap"):
+            reload(log, records)
+        return log
+    return reload(log, records)
 
 
 @settings(max_examples=250, deadline=None)
@@ -532,9 +560,9 @@ def mutate(log, kind, at, other, fresh_txn):
 )
 def test_recover_matches_whole_log_rescan(n, events, seal_rest, rounds):
     """Recovery on the seal index agrees with the whole-log rescan on
-    interleaved, partly unsealed logs tampered in memory between
-    recoveries: the same record, replay count and seals verified, or the
-    same refusal message."""
+    interleaved, partly unsealed logs whose serialized lines are tampered
+    between recoveries: the same record, replay count and seals verified,
+    or the same refusal message."""
     log, txn_id = interleaved_log(n, events, seal_rest)
     keys = list(ORACLE_KEYS) + ["ghost"]
     for mutations in rounds + [[]]:
@@ -544,7 +572,7 @@ def test_recover_matches_whole_log_rescan(n, events, seal_rest, rounds):
         assert outcome(log.verify_log) == outcome(lambda: reference_verify_log(log))
         for kind, at, other in mutations:
             txn_id += 1
-            mutate(log, kind, at, other, txn_id)
+            log = mutate(log, kind, at, other, txn_id)
 
 
 def recovery_pass(log, verify_first):
@@ -574,8 +602,9 @@ def recovery_pass(log, verify_first):
 def test_each_seal_verified_once(n, events):
     """verify_log() then a recovery of every key checks each seal exactly
     once; recoveries alone check each seal at most once. Both report the
-    same seals verified, and after verify_log() no recovery hashes."""
-    log, _ = interleaved_log(n, events, seal_rest=True)
+    same seals verified, and after verify_log() no recovery hashes. Appends
+    after a verify_log() re-hash no earlier seal, and each new seal once."""
+    log, txn_id = interleaved_log(n, events, seal_rest=True)
     seals = [rec for rec in log.records if isinstance(rec, TxnSeal)]
     warm_calls, warm = recovery_pass(log, verify_first=True)
     assert warm_calls == Counter(seal.lsn for seal in seals)
@@ -591,6 +620,13 @@ def test_each_seal_verified_once(n, events):
         len(cold_log.records[lsn].line())
         for seal in seals if seal.lsn in cold_calls
         for lsn in range(seal.first_lsn, seal.last_lsn + 1))
+
+    for writes in ([("a", 1), ("b", 2)], [], [("a", 3)]):
+        txn_id += 1
+        append_and_seal(log, txn_id, writes)
+        grown_calls, grown = recovery_pass(log, verify_first=True)
+        assert grown_calls == Counter([log.records[-1].lsn])
+        assert all(hashed == scanned == 0 for _, hashed, scanned in grown)
 
 
 def scanned_maps(records):
