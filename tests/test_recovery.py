@@ -322,6 +322,47 @@ def test_log_is_append_only():
     assert log.recover("x").value == 5
 
 
+def test_record_edit_drops_cached_verdicts():
+    """An edit reaches a log only by reload, and the reloaded log starts with
+    no verdict: the original's cached passes do not vouch for the edit."""
+    log = make_log(n=4)
+    for i in range(1, 7):
+        append_and_seal(log, i, [("x", i), (f"k{i % 3}", i)])
+    assert log.verify_log()
+    log.recover("x")
+    lsn = log.replay_plan("x")[1][-1]
+    tampered = edited(log, dataclasses.replace(log.records[lsn], new_value=999))
+    assert not tampered.verify_log()
+    with pytest.raises(RecoveryRefused):
+        tampered.recover("x")
+    assert log.verify_log()
+    assert log.recover("x").value == 6
+    restored = edited(tampered, log.records[lsn])
+    assert restored.verify_log()
+    assert restored.recover("x").value == 6
+
+
+def test_enclave_change_drops_cached_verdicts():
+    """The same records under a second enclave (header re-MACed by it) are
+    judged anew and refused; the first log's verdicts stay its own."""
+    log = make_log(n=4, seed=1)
+    for i in range(1, 7):
+        append_and_seal(log, i, [("x", i)])
+    assert log.verify_log()
+    log.recover("x")
+    other = EnclaveSim(seed=2)
+    header, records = log.to_text().split("\n", 1)
+    prefix = header.rpartition("|")[0]
+    moved = RedoLog.from_text(f"{prefix}|{other.sign(prefix)}\n{records}", other)
+    assert moved.enclave is other and moved.records == log.records
+    assert not moved.verify_log()
+    with pytest.raises(RecoveryRefused):
+        moved.recover("x")
+    assert log.enclave is not other
+    assert log.verify_log()
+    assert log.recover("x").value == 6
+
+
 def test_recover_refused_for_unsealed_injected_entry():
     log = make_log(n=4)
     append_and_seal(log, 1, [("x", 5)])
