@@ -170,6 +170,15 @@ class CountingPolicy:
         self.usage[cell] = self.usage.get(cell, 0) + 1
         return self.strategy.action_at(cell)
 
+    def actions(self) -> tuple[CCAction, ...]:
+        """Every action this policy can return, one per (kind, heat) class.
+
+        Two policies with equal tuples return the same action for every
+        call, so an engine window driven by one replays the other's.
+        """
+        return tuple(self.strategy.action_at((self._cb, self._wb, kind, heat))
+                     for kind in (READ, WRITE) for heat in (HOT, COLD))
+
 
 def as_policy(strategy: CCStrategy, state: SystemState) -> CountingPolicy:
     return CountingPolicy(strategy, state)
@@ -228,6 +237,14 @@ def refine_phase(strategy: CCStrategy, evaluator, rounds: int,
 
 @dataclass
 class AdaptationEvent:
+    """One adaptation: the live window it followed and the table it installed.
+
+    `probe_windows` counts the distinct candidate tables scored. A table
+    whose actions on the probe bucket's four (kind, heat) cells match an
+    earlier candidate's reuses that probe window's reward, so fewer engine
+    windows may run than this counts.
+    """
+
     window_index: int
     probe_windows: int
     old_strategy: CCStrategy
@@ -288,21 +305,29 @@ class OnlineAdapter:
         return event
 
     def _adapt(self, state: SystemState, workload: WorkloadSpec) -> AdaptationEvent:
+        """Filter, then refine, scoring each candidate on one probe window.
+
+        Every candidate runs on the same probe spec and from the same probe
+        state, so its policy is confined to that state's bucket. A candidate
+        whose policy returns the same four (kind, heat) actions as an
+        earlier one's would replay that window tick for tick, so it gets
+        the earlier reward and no window runs. The event's `probe_windows`
+        still counts every distinct table scored.
+        """
         probe_seed = rnglib.child_seed(self.seed, "probe", len(self.events))
         probe_spec = replace(workload, seed=probe_seed)
-        probes = 0
-        memo: dict[CCStrategy, float] = {}
+        scored: set[CCStrategy] = set()
+        rewards: dict[tuple[CCAction, ...], float] = {}
 
         def evaluator(candidate: CCStrategy) -> float:
-            nonlocal probes
-            if candidate in memo:
-                return memo[candidate]
-            probes += 1
-            eng = self.engine_factory()
-            probe_stats = eng.run_window(probe_spec, as_policy(candidate, state),
-                                         self.probe_duration)
-            memo[candidate] = window_reward(probe_stats, self.abort_penalty)
-            return memo[candidate]
+            scored.add(candidate)
+            policy = as_policy(candidate, state)
+            actions = policy.actions()
+            if actions not in rewards:
+                probe_stats = self.engine_factory().run_window(probe_spec, policy,
+                                                               self.probe_duration)
+                rewards[actions] = window_reward(probe_stats, self.abort_penalty)
+            return rewards[actions]
 
         gen = rnglib.derive(self.seed, "evolve", len(self.events))
         winner = filter_phase(self.strategy, self.pop_size, evaluator, gen,
@@ -310,7 +335,7 @@ class OnlineAdapter:
         order = self._usage_order()
         refined = refine_phase(winner, evaluator, self.refine_rounds, cells=order)
 
-        event = AdaptationEvent(self.window_index, probes, self.strategy, refined)
+        event = AdaptationEvent(self.window_index, len(scored), self.strategy, refined)
         self.strategy = refined
         return event
 

@@ -123,7 +123,7 @@ RULES = {
         "wait_max": Rule(5.0, float, "> 0"),
         "abort_penalty": Rule(0.1, float),
         "pop_size": Rule(8, int, ">= 2"),
-        "mutate_cells": Rule(1, int),
+        "mutate_cells": Rule(1, int, ">= 0"),
         "refine_rounds": Rule(1, int, ">= 0"),
         "probe_ticks": Rule(120, int, ">= 1"),
         "cooldown_windows": Rule(2, int, ">= 0"),

@@ -1,11 +1,19 @@
+import contextlib
+from dataclasses import replace
+from functools import partial
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frpkernel import cc_adaptive
 from frpkernel import rng as rnglib
 from frpkernel.cc_adaptive import (
+    AdaptationEvent,
     Bucketizer,
     CCStrategy,
+    OnlineAdapter,
     ShiftThresholds,
     SystemState,
     all_cells,
@@ -269,3 +277,121 @@ def test_filter_rejects_tiny_population():
     with pytest.raises(ValueError):
         filter_phase(CCStrategy.constant(LOCK), 1, lambda s: 0.0,
                      rnglib.derive(0, "x"))
+
+
+# -- probe windows shared by candidates that act alike ---------------------------
+
+PROBE_FACTORY = partial(Engine, max_workers=4, hot_key_count=2)
+CLASSES = [(kind, heat) for kind in (READ, WRITE) for heat in (HOT, COLD)]
+
+
+def reference_adapt(adapter, state, workload, log):
+    """`OnlineAdapter._adapt` scoring every distinct table on its own window."""
+    probe_seed = rnglib.child_seed(adapter.seed, "probe", len(adapter.events))
+    probe_spec = replace(workload, seed=probe_seed)
+    memo = {}
+
+    def evaluator(candidate):
+        if candidate not in memo:
+            stats = adapter.engine_factory().run_window(
+                probe_spec, as_policy(candidate, state), adapter.probe_duration)
+            memo[candidate] = window_reward(stats, adapter.abort_penalty)
+        log.append((candidate, memo[candidate]))
+        return memo[candidate]
+
+    gen = rnglib.derive(adapter.seed, "evolve", len(adapter.events))
+    winner = filter_phase(adapter.strategy, adapter.pop_size, evaluator, gen,
+                          cells_to_flip=adapter.cells_to_flip)
+    refined = refine_phase(winner, evaluator, adapter.refine_rounds,
+                           cells=adapter._usage_order())
+    event = AdaptationEvent(adapter.window_index, len(memo), adapter.strategy, refined)
+    adapter.strategy = refined
+    return event
+
+
+@contextlib.contextmanager
+def logged_rewards(log):
+    """Log every (candidate, reward) the adapter's two phases score."""
+    def logging(evaluator):
+        def scored(candidate):
+            reward = evaluator(candidate)
+            log.append((candidate, reward))
+            return reward
+        return scored
+
+    filt, refine = cc_adaptive.filter_phase, cc_adaptive.refine_phase
+    with patch.object(cc_adaptive, "filter_phase",
+                      lambda s, n, ev, gen, **kw: filt(s, n, logging(ev), gen, **kw)), \
+            patch.object(cc_adaptive, "refine_phase",
+                         lambda s, ev, rounds, **kw: refine(s, logging(ev), rounds, **kw)):
+        yield
+
+
+def _prepared_adapter(table, prev, state, live_spec, **params):
+    """An adapter that ran its last live window from `prev` and then observed
+    `state`, as `observe_window` leaves it before adapting; the refine order
+    and the last live policy's bucket come from `prev`."""
+    windows = []
+
+    def factory():
+        engine = PROBE_FACTORY()
+        run_window = engine.run_window
+
+        def counted(workload, policy, duration):
+            windows.append(policy)
+            return run_window(workload, policy, duration)
+
+        engine.run_window = counted
+        return engine
+
+    adapter = OnlineAdapter(strategy=table, engine_factory=factory, **params)
+    adapter.state = prev
+    PROBE_FACTORY().run_window(live_spec, adapter.next_policy(), 20)
+    adapter.state = state
+    return adapter, windows
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), buckets=st.integers(1, 4),
+       contention_max=st.sampled_from((0.5, 1.0)), wait_max=st.sampled_from((2.0, 5.0)),
+       pop_size=st.integers(2, 10), cells_to_flip=st.integers(0, 3),
+       refine_rounds=st.integers(0, 3), seed=st.integers(0, 2**16))
+def test_adapt_matches_one_window_per_table(data, buckets, contention_max, wait_max,
+                                            pop_size, cells_to_flip, refine_rounds, seed):
+    bucketizer = Bucketizer(buckets, contention_max, wait_max)
+    cells = all_cells(buckets)
+    picks = data.draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+    table = CCStrategy(bucketizer, {c: LOCK if p else OPT for c, p in zip(cells, picks)})
+    prev, state = (SystemState(contention_index=data.draw(_around(contention_max)),
+                               avg_lock_wait=data.draw(_around(wait_max)))
+                   for _ in range(2))
+    workload = WorkloadSpec(key_space=data.draw(st.integers(2, 24)),
+                            zipf_theta=data.draw(st.sampled_from((0.0, 0.8, 0.99))),
+                            write_frac=data.draw(st.sampled_from((0.05, 0.5, 0.8, 1.0))),
+                            txn_len=data.draw(st.integers(1, 4)),
+                            arrival_rate=data.draw(st.sampled_from((1.0, 2.0, 3.0))),
+                            seed=data.draw(st.integers(0, 2**16)))
+    params = dict(pop_size=pop_size, cells_to_flip=cells_to_flip,
+                  refine_rounds=refine_rounds, probe_duration=30, seed=seed)
+
+    ref_adapter, ref_windows = _prepared_adapter(table, prev, state, workload, **params)
+    ref_log = []
+    want = reference_adapt(ref_adapter, state, workload, ref_log)
+
+    adapter, windows = _prepared_adapter(table, prev, state, workload, **params)
+    log = []
+    with logged_rewards(log):
+        got = adapter._adapt(state, workload)
+
+    assert got == want
+    assert adapter.strategy == ref_adapter.strategy
+    assert log == ref_log
+    assert len(ref_windows) == got.probe_windows
+
+    def consulted(strategy):
+        policy = as_policy(strategy, state)
+        return tuple(policy(kind, heat) for kind, heat in CLASSES)
+
+    run = [consulted(policy.strategy) for policy in windows]
+    assert len(run) == len(set(run))
+    assert set(run) == {consulted(candidate) for candidate, _ in log}

@@ -472,13 +472,30 @@ def test_schedule_memo_holds_one_entry():
 
 
 def test_adaptation_builds_its_probe_schedule_once():
+    windows_run = 0
+
+    def factory():
+        engine = Engine()
+        run_window = engine.run_window
+
+        def counted(*args):
+            nonlocal windows_run
+            windows_run += 1
+            return run_window(*args)
+
+        engine.run_window = counted
+        return engine
+
     adapter = OnlineAdapter(strategy=CCStrategy.prescribed(), pop_size=8,
-                            refine_rounds=2, probe_duration=30, seed=4)
+                            refine_rounds=2, probe_duration=30, seed=4,
+                            engine_factory=factory)
     spec = WorkloadSpec(key_space=6, zipf_theta=0.99, write_frac=0.8, txn_len=3,
                         arrival_rate=3.0, seed=9)
     before = _schedule.cache_info()
     event = adapter._adapt(SystemState(contention_index=0.6), spec)
     after = _schedule.cache_info()
     assert event.probe_windows >= 8
+    # candidates that act alike on the probe bucket share one window
+    assert 1 < windows_run < event.probe_windows
     assert after.misses - before.misses == 1
-    assert after.hits - before.hits == event.probe_windows - 1
+    assert after.hits - before.hits == windows_run - 1

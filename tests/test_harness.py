@@ -176,11 +176,11 @@ def test_value_range_checks():
     with pytest.raises(ConfigError):
         build_scenario_config("cc-sim", {"cc_sim": {"thresholds": {"latency": 1.0}}})
     for key, value in (("workers", 0), ("hot_keys", -1), ("lock_overhead", -1),
-                       ("abort_cost", -1)):
+                       ("abort_cost", -1), ("mutate_cells", -1)):
         with pytest.raises(ConfigError):
             build_scenario_config("cc-sim", {"cc_sim": {key: value}})
     build_scenario_config("cc-sim", {"cc_sim": {"hot_keys": 0, "lock_overhead": 0,
-                                                "abort_cost": 0}})
+                                                "abort_cost": 0, "mutate_cells": 0}})
     for scenario, block, key, value in (
             ("recover-demo", "recover_demo", "workers", 0),
             ("recover-demo", "recover_demo", "window_ticks", 0),
@@ -330,6 +330,7 @@ CONFIG_ERRORS = {
     "null joins": (["optd"], "optd: {query: {relations: [A, B], joins: null}}"),
     "null selectivities": (["optd"], NULL_SELECTIVITIES),
     "negative hidden_dim": (["gate"], "gate: {hidden_dim: -1}"),
+    "negative mutate_cells": (["cc-sim"], "cc_sim: {mutate_cells: -3}"),
     "removed select.workers": (["select"], "select: {workers: 2}"),
     "removed select.buffer_capacity": (["select"], "select: {buffer_capacity: 8}"),
 }
