@@ -3,11 +3,11 @@
 A strategy is a total table from (system-condition bucket, operation class)
 to a concurrency action. The controller watches per-window statistics, and
 when a workload shift shows up in them it runs a two-phase adjustment:
-an evolutionary filter generates mutated strategies and tests each on a
-private probe window to pick the best, then single-cell hill climbing
-refines the winner under the same reward feedback. Rewards are
-commits minus a penalty per abort, so maximizing reward maximizes
-throughput while discouraging wasted work.
+an evolutionary filter tests mutated strategies on private probe windows
+and keeps the best by one round of `model_select.successive_halving`, then
+single-cell hill climbing refines the winner under the same reward
+feedback. Rewards are commits minus a penalty per abort, so maximizing
+reward maximizes throughput while discouraging wasted work.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 
 from . import rng as rnglib
 from .engine import COLD, HOT, READ, WRITE, CCAction, Engine, ExecStats, WorkloadSpec
+from .model_select import successive_halving
 
 
 @dataclass(frozen=True)
@@ -197,22 +198,15 @@ def mutate(strategy: CCStrategy, cells_to_flip: int, gen) -> CCStrategy:
 
 def filter_phase(seed_strategy: CCStrategy, pop_size: int, evaluator, gen,
                  cells_to_flip: int = 2) -> CCStrategy:
-    """Evolutionary filter: evaluate pop_size mutants plus the seed, keep the best.
-
-    The seed is evaluated first, by the same evaluator as the mutants, so
-    every candidate is compared under the same probe conditions. Ties go to
-    the seed, then to earlier-generated mutants, so a zero-mutation
-    population returns the seed unchanged.
-    """
+    """Evolutionary filter: one `successive_halving` round over the seed, then
+    pop_size mutants, each scored once by `evaluator`. Ties go to the seed,
+    then to earlier mutants, so a zero-mutation population returns the seed."""
     if pop_size < 2:
         raise ValueError("population size must be >= 2")
-    best, best_reward = seed_strategy, evaluator(seed_strategy)
-    for _ in range(pop_size):
-        cand = mutate(seed_strategy, cells_to_flip, gen)
-        cand_reward = evaluator(cand)
-        if cand_reward > best_reward:
-            best, best_reward = cand, cand_reward
-    return best
+    pool = [seed_strategy] + [mutate(seed_strategy, cells_to_flip, gen)
+                              for _ in range(pop_size)]
+    return successive_halving(pool, [(len(pool), 1)], lambda cand, _r: evaluator(cand),
+                              lambda _cand: 0)[-1][0]
 
 
 def refine_phase(strategy: CCStrategy, evaluator, rounds: int,

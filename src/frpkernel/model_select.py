@@ -1,8 +1,9 @@
 """Budgeted two-phase model selection over a synthetic model space.
 
 Phase one scores cheap proxies over genomes found by regularized evolution
-until N models are scored; phase two runs successive halving on the top K,
-training survivors progressively longer and keeping the top 1/eta each round.
+until N models are scored; phase two trains the top K by `successive_halving`,
+keeping the top 1/eta each round by (-score, tie key), then by list order. The
+adapter's filter, `cc_adaptive.filter_phase`, is one round of the same loop.
 A planner derives (N, K, U) from a hard response-time budget up front, so a
 run can never overshoot it: simulated cost is charged per score and per epoch
 and both phases stop at their planned counts.
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import rng as rnglib
 
@@ -178,6 +179,24 @@ def halving_schedule(k: int, initial_epochs: int, eta: int) -> list[tuple[int, i
     return rounds
 
 
+def successive_halving(candidates: list, rounds: list, evaluate, tie_key) -> list[list]:
+    """The candidates, then the survivors of each round that cuts them.
+
+    Round r scores every survivor with `evaluate(candidate, r)` and keeps the
+    next round's count, or one after the last round, ranked by
+    `(-score, tie_key(candidate))`; the stable sort leaves remaining ties to
+    the earlier candidate. Scores are kept by position: a candidate may repeat.
+    """
+    survivors = [list(candidates)]
+    for r, (keep, _) in enumerate(rounds[1:] + [(1, 0)]):
+        pool = survivors[-1]
+        scores = [evaluate(candidate, r) for candidate in pool]
+        if keep < len(pool):
+            order = sorted(range(len(pool)), key=lambda i: (-scores[i], tie_key(pool[i])))
+            survivors.append([pool[i] for i in order[:keep]])
+    return survivors
+
+
 def schedule_epochs(k: int, initial_epochs: int, eta: int) -> int:
     return sum(count * epochs for count, epochs in halving_schedule(k, initial_epochs, eta))
 
@@ -215,7 +234,7 @@ def plan_budget(budget: float, space_size: int, score_cost: float, epoch_cost: f
     if not 0.0 < filter_fraction < 1.0:
         raise ValueError("filter_fraction must be in (0, 1)")
 
-    n = min(int(filter_fraction * budget / score_cost), space_size)
+    n = int(min(filter_fraction * budget / score_cost, space_size))  # the ratio may be inf
     if n < 1:
         raise InfeasibleBudget("filter budget cannot pay for one score")
     refine_budget = (1.0 - filter_fraction) * budget
@@ -304,41 +323,27 @@ def take_candidates(scored: list[ScoredModel], k: int) -> list[ScoredModel]:
 class RefineOutcome:
     winner: ModelGenome
     epochs_charged: int
-    survivor_history: list[int] = field(default_factory=list)
+    survivor_history: list[int]
 
 
 def refine(candidates: list[ScoredModel], initial_epochs: int, eta: int,
            trainer: Trainer) -> RefineOutcome:
-    """Successive halving with cumulative training, run by `halving_schedule`.
-
-    After each round the survivors are cut to the next round's count, or to
-    one after the last round, keeping the best by current accuracy (ties
-    toward lower genome id).
-    """
+    """Successive halving on `halving_schedule` with cumulative training: round
+    r ranks by accuracy after the schedule's running total of epochs, ties
+    toward the lower genome id."""
     if not candidates:
         raise ValueError("empty candidate set")
-    survivors = [m.genome for m in candidates]
-    trained: dict[int, int] = {g.genome_id: 0 for g in survivors}
-    accuracy: dict[int, float] = {}
-    history = [len(survivors)]
-    epochs_charged = 0
+    rounds = halving_schedule(len(candidates), initial_epochs, eta)
+    trained = list(itertools.accumulate(epochs for _, epochs in rounds))
 
-    rounds = halving_schedule(len(survivors), initial_epochs, eta)
-    next_counts = [count for count, _ in rounds[1:]] + [1]
-    for (_, epochs), keep in zip(rounds, next_counts):
-        for genome in survivors:
-            trained[genome.genome_id] += epochs
-            trainer.charge(epochs)
-            epochs_charged += epochs
-            accuracy[genome.genome_id] = trainer.accuracy(
-                genome.params, trained[genome.genome_id])
-        if keep < len(survivors):
-            survivors = sorted(
-                survivors,
-                key=lambda g: (-accuracy[g.genome_id], g.genome_id))[:keep]
-            history.append(len(survivors))
+    def evaluate(genome: ModelGenome, r: int) -> float:
+        trainer.charge(rounds[r][1])
+        return trainer.accuracy(genome.params, trained[r])
 
-    return RefineOutcome(survivors[0], epochs_charged, history)
+    survivors = successive_halving([m.genome for m in candidates], rounds, evaluate,
+                                   lambda g: g.genome_id)
+    return RefineOutcome(survivors[-1][0], sum(count * epochs for count, epochs in rounds),
+                         [len(s) for s in survivors])
 
 
 @dataclass

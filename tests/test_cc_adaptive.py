@@ -279,6 +279,48 @@ def test_filter_rejects_tiny_population():
                      rnglib.derive(0, "x"))
 
 
+def reference_filter_phase(seed_strategy, pop_size, evaluator, gen, cells_to_flip=2):
+    """The strict-`>` scan `filter_phase` ran before it called
+    `successive_halving`, kept verbatim as an oracle."""
+    if pop_size < 2:
+        raise ValueError("population size must be >= 2")
+    best, best_reward = seed_strategy, evaluator(seed_strategy)
+    for _ in range(pop_size):
+        cand = mutate(seed_strategy, cells_to_flip, gen)
+        cand_reward = evaluator(cand)
+        if cand_reward > best_reward:
+            best, best_reward = cand, cand_reward
+    return best
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), pop_size=st.integers(2, 10), cells_to_flip=st.integers(0, 3),
+       seed=st.integers(0, 2**16))
+def test_filter_matches_reference_scan(data, pop_size, cells_to_flip, seed):
+    # one bucket: four cells, so 16 tables, and a reward table with ties
+    buckets = Bucketizer(buckets=1)
+    cells = all_cells(1)
+    rewards = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=16, max_size=16))
+    start = data.draw(st.integers(0, 15))
+    seed_strategy = CCStrategy(buckets, {cell: LOCK if start >> i & 1 else OPT
+                                         for i, cell in enumerate(cells)})
+
+    def logged(calls):
+        def evaluator(strategy):
+            calls.append(strategy)
+            return rewards[sum(1 << i for i, cell in enumerate(cells)
+                               if strategy.action_at(cell) is LOCK)]
+        return evaluator
+
+    got_calls, want_calls = [], []
+    got = filter_phase(seed_strategy, pop_size, logged(got_calls),
+                       rnglib.derive(seed, "filter"), cells_to_flip)
+    want = reference_filter_phase(seed_strategy, pop_size, logged(want_calls),
+                                  rnglib.derive(seed, "filter"), cells_to_flip)
+    assert got == want
+    assert got_calls == want_calls
+
+
 # -- probe windows shared by candidates that act alike ---------------------------
 
 PROBE_FACTORY = partial(Engine, max_workers=4, hot_key_count=2)

@@ -251,11 +251,28 @@ FULL_SEED0_SHA256 = {
 }
 
 
-def test_full_seed0_outputs_match_pinned_digests(tmp_path):
-    assert main(["full", "--seed", "0", "--out", str(tmp_path)]) == 0
+# the same for seeds 1 and 5, so a change confined to seed 0's draws shows too
+FULL_SHA256 = {
+    0: FULL_SEED0_SHA256,
+    1: {
+        "full_metrics.csv": "60d9d640f6ad32554da95f33ae9803329289d8f37a4ee84580c9ab756f653672",
+        "full_summary.json": "b7311217e9b5fa2b3a968fd6e44ff42a1c9d7d410fee959c2bc00616982d9813",
+        "redo_log.txt": "699824ec71a3b974fbd154f37ef68b76710bccec561827d889abbe5ec11d1c63",
+    },
+    5: {
+        "full_metrics.csv": "95de3e2d22bc52a118a35da7c7013bc18a5c3bbaceb9b57e52aaa5f51ded4d20",
+        "full_summary.json": "d23598d128c49be02e24261ada90c18df442a96789134fdb5056805e207bbd54",
+        "redo_log.txt": "2aa1cc3906b309547c6a53ca09735af8a45ed3c6756bffb933f128a2483b3126",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FULL_SHA256))
+def test_full_outputs_match_pinned_digests(seed, tmp_path):
+    assert main(["full", "--seed", str(seed), "--out", str(tmp_path)]) == 0
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in tmp_path.iterdir()}
-    assert digests == FULL_SEED0_SHA256
+    assert digests == FULL_SHA256[seed]
 
 
 def test_full_concatenates_individual_sections(tmp_path):
@@ -354,6 +371,16 @@ def test_config_errors_exit_2_before_running(case, tmp_path):
     assert main(args + ["--validate-only", "--out", str(out)]) == 2
     assert main(args + ["--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_budget_whose_score_count_overflows_runs(tmp_path, capsys):
+    # 0.2 * budget / score_cost is inf; the planner caps it at the space size
+    path = tmp_path / "huge.yaml"
+    path.write_text("select: {budget: 1.0e+308, score_cost: 1.0e-300}\n")
+    assert main(["select", "--config", str(path), "--validate-only"]) == 0
+    assert capsys.readouterr().out.strip() == "config ok"
+    assert main(["select", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "select_summary.json").exists()
 
 
 def test_validate_only_runs_nothing(tmp_path, capsys):

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from frpkernel import rng as rnglib
 from frpkernel.model_select import (
     InfeasibleBudget,
+    ModelGenome,
     ModelSpace,
     ProxyScorer,
+    RefineOutcome,
     ScoredModel,
     Trainer,
     explore_and_score,
@@ -127,6 +129,13 @@ def test_plan_infeasible_budget_raises():
     with pytest.raises(InfeasibleBudget):
         # scores fit but no training run does
         plan_budget(10.0, UNCAPPED, score_cost=0.1, epoch_cost=100.0)
+
+
+def test_plan_caps_an_infinite_score_count_at_the_space_size():
+    # 0.2 * 1e308 / 1e-300 overflows to inf, which int() cannot convert
+    plan = plan_budget(1.0e308, 256, score_cost=1.0e-300, epoch_cost=1.0)
+    assert plan.n_to_score == 256
+    assert plan.candidate_size == 256
 
 
 def test_plan_shortlist_is_exact_at_eta_5_and_6():
@@ -257,6 +266,69 @@ def test_refine_noiseless_equal_tau_returns_candidate_argmax():
 def test_refine_rejects_empty_candidates():
     with pytest.raises(ValueError):
         refine([], 1, 2, Trainer(small_space()))
+
+
+def reference_refine(candidates, initial_epochs, eta, trainer):
+    """The hand-rolled halving loop `refine` ran before it called
+    `successive_halving`, kept verbatim as an oracle."""
+    if not candidates:
+        raise ValueError("empty candidate set")
+    survivors = [m.genome for m in candidates]
+    trained: dict[int, int] = {g.genome_id: 0 for g in survivors}
+    accuracy: dict[int, float] = {}
+    history = [len(survivors)]
+    epochs_charged = 0
+
+    rounds = halving_schedule(len(survivors), initial_epochs, eta)
+    next_counts = [count for count, _ in rounds[1:]] + [1]
+    for (_, epochs), keep in zip(rounds, next_counts):
+        for genome in survivors:
+            trained[genome.genome_id] += epochs
+            trainer.charge(epochs)
+            epochs_charged += epochs
+            accuracy[genome.genome_id] = trainer.accuracy(
+                genome.params, trained[genome.genome_id])
+        if keep < len(survivors):
+            survivors = sorted(
+                survivors,
+                key=lambda g: (-accuracy[g.genome_id], g.genome_id))[:keep]
+            history.append(len(survivors))
+
+    return RefineOutcome(survivors[0], epochs_charged, history)
+
+
+class RecordingTrainer:
+    """Noiseless saturation curves from a few shared qualities and rates, so
+    accuracies tie within a round and curves cross between rounds; logs
+    every charge and accuracy call in order."""
+
+    def __init__(self, quality, tau):
+        self.quality, self.tau, self.calls = quality, tau, []
+
+    def charge(self, epochs):
+        self.calls.append(("charge", epochs))
+
+    def accuracy(self, params, cumulative_epochs):
+        self.calls.append(("accuracy", params, cumulative_epochs))
+        return self.quality[params] * (1.0 - math.exp(-cumulative_epochs / self.tau[params]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), k=st.integers(1, 64), eta=st.integers(2, 5),
+       initial_epochs=st.integers(1, 3))
+def test_refine_matches_reference_halving_loop(data, k, eta, initial_epochs):
+    ids = data.draw(st.permutations(range(k)))
+    genomes = [ModelGenome(gid, (gid,)) for gid in ids]
+    scores = data.draw(st.lists(st.sampled_from([0.0, 0.5]), min_size=k, max_size=k))
+    shortlist = [ScoredModel(g, score) for g, score in zip(genomes, scores)]
+    quality = {g.params: data.draw(st.sampled_from([0.0, 0.5, 1.0])) for g in genomes}
+    tau = {g.params: data.draw(st.sampled_from([2.0, 5.0])) for g in genomes}
+
+    got_trainer, want_trainer = RecordingTrainer(quality, tau), RecordingTrainer(quality, tau)
+    got = refine(shortlist, initial_epochs, eta, got_trainer)
+    want = reference_refine(shortlist, initial_epochs, eta, want_trainer)
+    assert got == want
+    assert got_trainer.calls == want_trainer.calls
 
 
 # -- select ----------------------------------------------------------------------

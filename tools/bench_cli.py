@@ -7,7 +7,10 @@ once with no config and once with a config that scales its work up about
 sixteenfold (`SCALED`; `full` merges every block of it). The script prints one
 JSON object with the fastest of `--repeats` wall times per setting, in
 seconds, interpreter start-up included, since a user waits for that too.
-The fastest of several runs filters out a noisy host, as `timeit` does.
+`startup_s` is the fastest bare `import frpkernel.harness.cli` process, the
+share of every wall time that no scenario's work accounts for; subtract it
+to compare the work itself. The fastest of several runs filters out a noisy
+host, as `timeit` does.
 
     PYTHONPATH=src python3 tools/bench_cli.py --seed 0 --repeats 5
 
@@ -51,8 +54,7 @@ def best_wall_s(args: list[str], repeats: int) -> float:
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        subprocess.run([sys.executable, "-m", "frpkernel.harness.cli", *args],
-                       check=True, stdout=subprocess.DEVNULL)
+        subprocess.run([sys.executable, *args], check=True, stdout=subprocess.DEVNULL)
         best = min(best, time.perf_counter() - t0)
     return best
 
@@ -63,6 +65,7 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
 
+    cli = ["-m", "frpkernel.harness.cli"]
     table = {}
     with tempfile.TemporaryDirectory() as tmp:
         for scenario in SCENARIOS:
@@ -71,12 +74,13 @@ def main() -> None:
             config.write_text(json.dumps(scaled_config(scenario)))
             common = ["--seed", str(args.seed), "--out", str(Path(tmp, "out"))]
             table[scenario] = {
-                "default_s": round(best_wall_s([scenario, *common], args.repeats), 4),
-                "scaled_s": round(best_wall_s([scenario, "--config", str(config), *common],
-                                              args.repeats), 4),
+                "default_s": round(best_wall_s([*cli, scenario, *common], args.repeats), 4),
+                "scaled_s": round(best_wall_s([*cli, scenario, "--config", str(config),
+                                               *common], args.repeats), 4),
             }
-    print(json.dumps({"seed": args.seed, "repeats": args.repeats, "scenarios": table},
-                     indent=1))
+    startup = best_wall_s(["-c", "import frpkernel.harness.cli"], args.repeats)
+    print(json.dumps({"seed": args.seed, "repeats": args.repeats,
+                      "startup_s": round(startup, 4), "scenarios": table}, indent=1))
 
 
 if __name__ == "__main__":
