@@ -10,6 +10,10 @@ The log doubles as the trusted view of "what the store should contain": a
 stored record whose checksum fails, or whose (value, version) disagrees with
 the latest sealed log state, is flagged as tampered and can be rebuilt from
 the most recent anchor.
+
+Each record's line (`rec.line()`) is rendered or loaded once and kept beside
+it for seal digests, `verify_log` and `to_text`; a loaded line must match the
+canonical form exactly, so rendering its record gives the same line back.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from .engine import INITIAL_VALUE, Record, compute_checksum
 MAGIC = "FRPLOG"
 FORMAT_VERSION = "1"
 DIGEST_ALGO = "sha256"
-_HEX64 = re.compile("[0-9a-f]{64}")
+# canonical fields: an int as str() writes it, a `_check_key` key, a hexdigest
+_INT, _KEY, _HEX = "(0|-?[1-9][0-9]*)", "([^|\n]+)", "([0-9a-f]{64})"
 
 
 class LogError(Exception):
@@ -60,9 +65,12 @@ class EnclaveSim:
 
     def __init__(self, seed: int):
         self._mac_key = hashlib.sha256(f"enclave:{seed}".encode()).digest()
+        self._mac = hmac.new(self._mac_key, digestmod=hashlib.sha256)
 
     def sign(self, digest: str) -> str:
-        return hmac.new(self._mac_key, digest.encode(), hashlib.sha256).hexdigest()
+        mac = self._mac.copy()      # the keyed state, without re-keying
+        mac.update(digest.encode())
+        return mac.hexdigest()
 
     def verify(self, digest: str, signature: str) -> bool:
         return hmac.compare_digest(self.sign(digest), signature)
@@ -120,8 +128,8 @@ def _check_key(key: str) -> str:
 class RedoLog:
     """An append-only redo log. Records enter only through `append_redo`,
     `seal_txn` and `from_text`, each via `_index_record`, so every record's
-    lsn equals its position, and state derived from the records only has to
-    catch up with appends, never with an edit."""
+    lsn equals its position in `_records` and in `_lines`, and state derived
+    from the records only has to catch up with appends, never with an edit."""
 
     def __init__(self, enclave: EnclaveSim, anchor_every: int = 4):
         if anchor_every < 1:
@@ -129,6 +137,7 @@ class RedoLog:
         self._enclave = enclave
         self.anchor_every = anchor_every
         self._records: list = []
+        self._lines: list[str] = []     # _lines[lsn] == _records[lsn].line()
         # derived from `_records` by _index_record, on append and on load
         self._latest: dict[str, tuple[int, int]] = {}   # key -> (value, version)
         self._txn_lsns: dict[int, list[int]] = {}
@@ -166,10 +175,11 @@ class RedoLog:
         _check_key(key)
         mod_index = self.expected_state(key)[1] + 1
         lsn = len(self._records)
-        self._index_record(RedoEntry(lsn, txn_id, key, new_value, mod_index))
+        entry = RedoEntry(lsn, txn_id, key, new_value, mod_index)
+        self._index_record(entry, entry.line())
         if mod_index % self.anchor_every == 0:
-            self._index_record(AnchorEntry(lsn + 1, key, new_value, mod_index,
-                                           mod_index))
+            anchor = AnchorEntry(lsn + 1, key, new_value, mod_index, mod_index)
+            self._index_record(anchor, anchor.line())
         return lsn
 
     def seal_txn(self, txn_id: int) -> TxnSeal:
@@ -187,20 +197,16 @@ class RedoLog:
         digest = self._range_digest(txn_id, first, last)
         seal = TxnSeal(len(self._records), txn_id, first, last, digest,
                        self._enclave.sign(digest))
-        self._index_record(seal)
+        self._index_record(seal, seal.line())
         return seal
 
     def _range_digest(self, txn_id: int, first: int, last: int) -> str:
         h = hashlib.sha256(f"seal:{txn_id}".encode())
-        scanned = 0
         if first >= 0:
-            for lsn in range(first, last + 1):
-                line = self._records[lsn].line().encode()
-                h.update(b"\n")
-                h.update(line)
-                scanned += len(line)
+            data = ("\n" + "\n".join(self._lines[first:last + 1])).encode()
+            h.update(data)
+            self._bytes_hashed += len(data) - (last + 1 - first)
         self._seals_hashed += 1
-        self._bytes_hashed += scanned
         return h.hexdigest()
 
     # -- verification ---------------------------------------------------------
@@ -337,16 +343,13 @@ class RedoLog:
         return f"{prefix}|{self._enclave.sign(prefix)}"
 
     def to_text(self) -> str:
-        lines = [self._header_line()] + [rec.line() for rec in self._records]
-        return "\n".join(lines) + "\n"
+        return "\n".join([self._header_line(), *self._lines]) + "\n"
 
     @classmethod
     def from_text(cls, content: str, enclave: EnclaveSim) -> "RedoLog":
         if not content.endswith("\n"):
             raise LogCorrupt("missing trailing newline")
         lines = content[:-1].split("\n")
-        if not lines:
-            raise LogCorrupt("empty log file")
 
         head = lines[0].split("|")
         if len(head) != 5 or head[0] != MAGIC or head[1] != FORMAT_VERSION:
@@ -357,24 +360,23 @@ class RedoLog:
         if n < 1:
             raise LogCorrupt("bad anchor interval")
         prefix = "|".join(head[:4])
-        if not enclave.verify(prefix, _parse_hex(head[4])):
+        if not (re.fullmatch(_HEX, head[4]) and enclave.verify(prefix, head[4])):
             raise LogCorrupt("header MAC mismatch")
 
         log = cls(enclave, anchor_every=n)
         for raw in lines[1:]:
             rec = _parse_record(raw)
-            if rec.line() != raw:
-                raise LogCorrupt(f"non-canonical record: {raw!r}")
             if rec.lsn != len(log._records):
                 raise LogCorrupt(f"lsn gap at {rec.lsn}")
-            log._index_record(rec)
+            log._index_record(rec, raw)
         return log
 
-    def _index_record(self, rec) -> None:
-        """Append `rec` to `_records` and derive the per-txn and per-key maps
-        from it. Appends and loads both go through here, so a reloaded log
-        has the same maps as the one that wrote it."""
+    def _index_record(self, rec, line: str) -> None:
+        """Append `rec` and its line, and derive the per-txn and per-key maps
+        from `rec`. Appends and loads both go through here, so a reloaded log
+        has the same lines and maps as the one that wrote it."""
         self._records.append(rec)
+        self._lines.append(line)
         if isinstance(rec, RedoEntry):
             self._txn_lsns.setdefault(rec.txn_id, []).append(rec.lsn)
             self._key_redos.setdefault(rec.key, []).append(rec.lsn)
@@ -391,38 +393,36 @@ class RedoLog:
 
 
 def _parse_int(text: str) -> int:
+    """The int that str() writes as `text`, or LogCorrupt."""
     try:
-        value = int(text)
-    except ValueError:
-        raise LogCorrupt(f"not an integer: {text!r}") from None
-    if str(value) != text:
-        raise LogCorrupt(f"non-canonical integer: {text!r}")
-    return value
+        if re.fullmatch(_INT, text):
+            return int(text)
+    except ValueError:      # int() refuses more than 4,300 digits
+        pass
+    raise LogCorrupt(f"not a canonical integer: {text[:80]!r}")
 
 
-def _parse_hex(text: str) -> str:
-    """A sha256 hex digest or MAC as `hexdigest()` writes it."""
-    if not _HEX64.fullmatch(text):
-        raise LogCorrupt(f"not a lowercase sha256 hex string: {text!r}")
-    return text
+# tag -> (fullmatch of a canonical line with that tag, record from its fields)
+_FORMS = {
+    "R": (re.compile(rf"R\|{_INT}\|{_INT}\|{_KEY}\|{_INT}\|{_INT}").fullmatch,
+          lambda lsn, txn, key, value, mod:
+          RedoEntry(int(lsn), int(txn), key, int(value), int(mod))),
+    "A": (re.compile(rf"A\|{_INT}\|{_KEY}\|{_INT}\|{_INT}\|{_INT}").fullmatch,
+          lambda lsn, key, value, version, mod:
+          AnchorEntry(int(lsn), key, int(value), int(version), int(mod))),
+    "S": (re.compile(rf"S\|{_INT}\|{_INT}\|{_INT}\|{_INT}\|{_HEX}\|{_HEX}").fullmatch,
+          lambda lsn, txn, first, last, digest, signature:
+          TxnSeal(int(lsn), int(txn), int(first), int(last), digest, signature)),
+}
 
 
 def _parse_record(raw: str):
-    parts = raw.split("|")
-    tag = parts[0] if parts else ""
+    """The record whose `line()` is exactly `raw`, or LogCorrupt."""
+    match, build = _FORMS.get(raw[:1], (None, None))
+    fields = match(raw) if match else None
+    if fields is None:
+        raise LogCorrupt(f"unparseable or non-canonical record: {raw!r}")
     try:
-        if tag == "R" and len(parts) == 6:
-            return RedoEntry(_parse_int(parts[1]), _parse_int(parts[2]),
-                             _check_key(parts[3]), _parse_int(parts[4]),
-                             _parse_int(parts[5]))
-        if tag == "A" and len(parts) == 6:
-            return AnchorEntry(_parse_int(parts[1]), _check_key(parts[2]),
-                               _parse_int(parts[3]), _parse_int(parts[4]),
-                               _parse_int(parts[5]))
-        if tag == "S" and len(parts) == 7:
-            return TxnSeal(_parse_int(parts[1]), _parse_int(parts[2]),
-                           _parse_int(parts[3]), _parse_int(parts[4]),
-                           _parse_hex(parts[5]), _parse_hex(parts[6]))
-    except ValueError as exc:
-        raise LogCorrupt(str(exc)) from None
-    raise LogCorrupt(f"unparseable record: {raw!r}")
+        return build(*fields.groups())
+    except ValueError:      # int() refuses more than 4,300 digits
+        raise LogCorrupt(f"not an integer in record: {raw[:80]!r}") from None

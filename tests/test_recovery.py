@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from collections import Counter
 
 import pytest
@@ -16,6 +17,7 @@ from frpkernel.recovery import (
     RedoLog,
     TxnSeal,
     UnknownTxn,
+    _parse_record,
 )
 
 
@@ -729,3 +731,207 @@ def test_index_maps_match_plain_scan(n, txns):
             anchored = isinstance(log.records[rec.lsn + 1], AnchorEntry)
             assert anchored == (rec.mod_index % n == 0)
     check(RedoLog.from_text(log.to_text(), log.enclave))
+
+
+# -- the loader's canonical-form match against parse-then-re-render ------------
+
+_REF_HEX64 = re.compile("[0-9a-f]{64}")
+
+
+def _ref_check_key(key: str) -> str:
+    if "|" in key or "\n" in key or not key:
+        raise ValueError(f"illegal key for log: {key!r}")
+    return key
+
+
+def _ref_parse_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise LogCorrupt(f"not an integer: {text!r}") from None
+    if str(value) != text:
+        raise LogCorrupt(f"non-canonical integer: {text!r}")
+    return value
+
+
+def _ref_parse_hex(text: str) -> str:
+    """A sha256 hex digest or MAC as `hexdigest()` writes it."""
+    if not _REF_HEX64.fullmatch(text):
+        raise LogCorrupt(f"not a lowercase sha256 hex string: {text!r}")
+    return text
+
+
+def _ref_parse_record(raw: str):
+    parts = raw.split("|")
+    tag = parts[0] if parts else ""
+    try:
+        if tag == "R" and len(parts) == 6:
+            return RedoEntry(_ref_parse_int(parts[1]), _ref_parse_int(parts[2]),
+                             _ref_check_key(parts[3]), _ref_parse_int(parts[4]),
+                             _ref_parse_int(parts[5]))
+        if tag == "A" and len(parts) == 6:
+            return AnchorEntry(_ref_parse_int(parts[1]), _ref_check_key(parts[2]),
+                               _ref_parse_int(parts[3]), _ref_parse_int(parts[4]),
+                               _ref_parse_int(parts[5]))
+        if tag == "S" and len(parts) == 7:
+            return TxnSeal(_ref_parse_int(parts[1]), _ref_parse_int(parts[2]),
+                           _ref_parse_int(parts[3]), _ref_parse_int(parts[4]),
+                           _ref_parse_hex(parts[5]), _ref_parse_hex(parts[6]))
+    except ValueError as exc:
+        raise LogCorrupt(str(exc)) from None
+    raise LogCorrupt(f"unparseable record: {raw!r}")
+
+
+def reference_load_line(raw):
+    """How `from_text` turned one record line into a record before it
+    matched the canonical form: parse field by field, then render the
+    record again and refuse it unless that gives `raw` back (the four
+    functions above are verbatim copies of the parser it used)."""
+    rec = _ref_parse_record(raw)
+    if rec.line() != raw:
+        raise LogCorrupt(f"non-canonical record: {raw!r}")
+    return rec
+
+
+# field layouts by tag: i an int, k a key, h a sha256 hexdigest
+LAYOUTS = {"R": "iikii", "A": "ikiii", "S": "iiiihh"}
+KEY_CHARS = "ab7 \r\té€键🙂"
+# digits that int() reads but str() never writes
+FOREIGN_DIGITS = [str.maketrans("0123456789", "".join(chr(z + d) for d in range(10)))
+                  for z in (0x660, 0x966, 0xFF10)]
+
+
+@st.composite
+def edited_record_lines(draw):
+    """An R, A or S line, canonical but perhaps for its key, with up to
+    three edits of its fields: a sign, zero, blank, `_` or foreign digit
+    put into a field, a hexdigest in uppercase, a field emptied, dropped or
+    repeated, or another tag."""
+    tag = draw(st.sampled_from("RAS"))
+    fields = [tag]
+    for kind in LAYOUTS[tag]:
+        if kind == "i":
+            fields.append(str(draw(st.integers(-10**20, 10**20))))
+        elif kind == "k":
+            # mostly a legal key, else one that is empty or holds | or \n
+            fields.append(draw(st.text(KEY_CHARS, min_size=1, max_size=5)
+                               | st.text(KEY_CHARS + "|\n", max_size=3)))
+        else:
+            fields.append(draw(st.binary(min_size=32, max_size=32)).hex())
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(fields) - 1))
+        text = fields[i]
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(
+            ("plus", "zeros", "minus zero", "insert", "digits", "upper",
+             "empty", "drop", "repeat", "tag")))
+        if edit == "plus":
+            fields[i] = "+" + text
+        elif edit == "zeros":
+            sign = "-" if text.startswith("-") else ""
+            fields[i] = sign + "0" * draw(st.integers(1, 2)) + text[len(sign):]
+        elif edit == "minus zero":
+            fields[i] = "-0"
+        elif edit == "insert":
+            fields[i] = text[:at] + draw(st.sampled_from(" _\t |\n-+")) + text[at:]
+        elif edit == "digits":
+            fields[i] = text[:at] + text[at:].translate(draw(st.sampled_from(FOREIGN_DIGITS)))
+        elif edit == "upper":
+            fields[i] = text.upper()
+        elif edit == "empty":
+            fields[i] = ""
+        elif edit == "drop":
+            del fields[i]
+        elif edit == "repeat":
+            fields.insert(i, text)
+        else:
+            fields[0] = draw(st.sampled_from(["R", "A", "S", "r", "s", "X", "", "RR"]))
+        if not fields:
+            fields = [""]
+    return "|".join(fields)
+
+
+@settings(max_examples=600, deadline=None)
+@given(raw=st.one_of(edited_record_lines(), st.text(max_size=30)))
+def test_loader_accepts_what_parse_and_render_accepted(raw):
+    """The canonical-form match accepts exactly the lines that parsing and
+    rendering back accepted, builds an equal record from each, and refuses
+    every other line with LogCorrupt."""
+    expected = outcome(lambda: reference_load_line(raw))
+    got = outcome(lambda: _parse_record(raw))
+    assert expected[0] == "ok" or expected[1] is LogCorrupt
+    assert got[:2] == expected[:2]
+    if got[0] == "ok":
+        assert type(got[1]) is type(expected[1]) and got[1] == expected[1]
+
+
+def test_overlong_integer_field_is_corrupt():
+    """An integer field with more digits than int() converts (4,300 by
+    default) ends in LogCorrupt at load, in any record field and in the
+    header's anchor interval, not in a ValueError from int()."""
+    log = make_log()
+    append_and_seal(log, 1, [("x", 5)])
+    header, redo, seal = log.to_text().splitlines()
+    huge = "9" * 5000
+
+    def with_field(line, i):
+        fields = line.split("|")
+        fields[i] = ("-" if fields[i].startswith("-") else "") + huge
+        return "|".join(fields)
+
+    texts = [[header, with_field(redo, i), seal] for i in (1, 2, 4, 5)]
+    texts += [[header, redo, with_field(seal, i)] for i in (1, 2, 3, 4)]
+    texts.append([with_field(header, 3), redo, seal])
+    for lines in texts:
+        with pytest.raises(LogCorrupt):
+            RedoLog.from_text("\n".join(lines) + "\n", log.enclave)
+
+
+# -- the kept lines against the records they render ----------------------------
+
+TEXT_KEYS = ("a", "é", "键", "k🙂", "x y", "b\r")
+
+
+def overlap_line_bytes(log, key):
+    """UTF-8 bytes of the records' rendered lines under every non-empty seal
+    whose range overlaps `key`'s replayed range [last anchor, last redo]."""
+    anchors = [r.lsn for r in log.records
+               if isinstance(r, AnchorEntry) and r.key == key]
+    start = anchors[-1] if anchors else -1
+    touched = anchors[-1:] + [r.lsn for r in log.records if isinstance(r, RedoEntry)
+                              and r.key == key and r.lsn > start]
+    if not touched:
+        return 0
+    lo, hi = min(touched), max(touched)
+    return sum(len(log.records[lsn].line().encode())
+               for s in log.records
+               if isinstance(s, TxnSeal) and s.first_lsn >= 0
+               and s.first_lsn <= hi and s.last_lsn >= lo
+               for lsn in range(s.first_lsn, s.last_lsn + 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    txns=st.lists(st.lists(st.tuples(st.sampled_from(TEXT_KEYS),
+                                     st.integers(-10**12, 10**12)), max_size=3),
+                  min_size=1, max_size=12),
+)
+def test_kept_lines_match_rendered_records(n, txns):
+    """The serialized log is the header and each record's rendered line;
+    a reload writes the same text back; and a recovery on a freshly loaded
+    log scans the UTF-8 bytes of the lines its seals cover, non-ASCII keys
+    included."""
+    log = make_log(n=n)
+    for txn_id, writes in enumerate(txns, start=1):
+        append_and_seal(log, txn_id, writes)
+    text = log.to_text()
+    prefix = f"FRPLOG|1|sha256|{n}"
+    assert text == "\n".join([f"{prefix}|{log.enclave.sign(prefix)}"]
+                             + [rec.line() for rec in log.records]) + "\n"
+    loaded = RedoLog.from_text(text, log.enclave)
+    assert loaded.to_text() == text and loaded.records == log.records
+    for key in TEXT_KEYS + ("ghost",):
+        cold = RedoLog.from_text(text, log.enclave)
+        cold.recover(key)
+        assert cold.last_bytes_scanned == overlap_line_bytes(log, key)
