@@ -163,13 +163,18 @@ class CountingPolicy:
     def __init__(self, strategy: CCStrategy, state: SystemState):
         self.strategy = strategy
         self.usage: dict[Cell, int] = {}
-        # the state is fixed for the policy's life, and so is its bucket
-        self._cb, self._wb = strategy.bucketizer.cell_of(state)
+        # the state is fixed for the policy's life, and so is its bucket:
+        # each (kind, heat) class maps to one cell and one action
+        cb, wb = strategy.bucketizer.cell_of(state)
+        self._cells: dict[tuple[str, str], tuple[Cell, CCAction]] = {
+            (kind, heat): ((cb, wb, kind, heat), strategy.action_at((cb, wb, kind, heat)))
+            for kind in (READ, WRITE) for heat in (HOT, COLD)}
 
     def __call__(self, kind: str, heat: str) -> CCAction:
-        cell = (self._cb, self._wb, kind, heat)
-        self.usage[cell] = self.usage.get(cell, 0) + 1
-        return self.strategy.action_at(cell)
+        cell, action = self._cells[kind, heat]
+        usage = self.usage
+        usage[cell] = usage.get(cell, 0) + 1
+        return action
 
     def actions(self) -> tuple[CCAction, ...]:
         """Every action this policy can return, one per (kind, heat) class.
@@ -177,8 +182,7 @@ class CountingPolicy:
         Two policies with equal tuples return the same action for every
         call, so an engine window driven by one replays the other's.
         """
-        return tuple(self.strategy.action_at((self._cb, self._wb, kind, heat))
-                     for kind in (READ, WRITE) for heat in (HOT, COLD))
+        return tuple(action for _cell, action in self._cells.values())
 
 
 def as_policy(strategy: CCStrategy, state: SystemState) -> CountingPolicy:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from collections import deque
 from dataclasses import astuple, fields, replace
 
 import pytest
@@ -16,7 +17,10 @@ from frpkernel.engine import (
     READ,
     WRITE,
     CCAction,
+    CommitResult,
     Engine,
+    ExecStats,
+    OpOutcome,
     OpStatus,
     Record,
     TxnOp,
@@ -24,7 +28,14 @@ from frpkernel.engine import (
     _schedule,
     compute_checksum,
 )
-from frpkernel.cc_adaptive import CCStrategy, OnlineAdapter, SystemState
+from frpkernel.cc_adaptive import (
+    Bucketizer,
+    CCStrategy,
+    OnlineAdapter,
+    SystemState,
+    all_cells,
+    as_policy,
+)
 from frpkernel.recovery import EnclaveSim, RedoLog
 from helpers import (
     all_lock,
@@ -242,7 +253,11 @@ def test_engine_rejects_malformed_parameters():
         Engine(max_workers=0)
     with pytest.raises(ValueError):
         Engine(hot_key_count=-1)
-    Engine(max_workers=1, hot_key_count=0)
+    with pytest.raises(ValueError, match="lock_overhead"):
+        Engine(lock_overhead=-1)
+    with pytest.raises(ValueError, match="abort_cost"):
+        Engine(abort_cost=-1)
+    Engine(max_workers=1, hot_key_count=0, lock_overhead=0, abort_cost=0)
 
 
 def test_store_reads_of_absent_key_share_one_initial_record():
@@ -404,6 +419,234 @@ def scheduler_digest() -> str:
 def test_window_schedules_match_pinned_digest():
     assert scheduler_digest() == (
         "ebbcd94be3bee0193f178e498f8e2b186da173966884be176382680475a3869c")
+
+
+# -- window loop oracle ---------------------------------------------------------
+
+class ReferenceEngine(Engine):
+    """The op path as it stood before it shared its outcomes: validation,
+    the locked and optimistic attempts and the deadlock search, verbatim."""
+
+    def validate_and_commit(self, txn):
+        if txn.status != ACTIVE:
+            raise ValueError(f"txn {txn.txn_id} is {txn.status}")
+        if txn.next_op != len(txn.ops):
+            raise ValueError("ops remain unexecuted")
+
+        # An optimistic write may not slip under a key another active txn
+        # still holds locked (committing anyway would break 2PL readers);
+        # then backward validation of the optimistic footprint.
+        footprint = {**txn.read_versions, **txn.write_versions}
+        if (any(self._conflicts(txn, key) for key in txn.write_versions)
+                or any(self.store.read(key).version != ver for key, ver in footprint.items())):
+            self.abort(txn, "conflict")
+            return CommitResult(ABORTED, "conflict")
+
+        if self.log is not None:
+            self.log.register_txn(txn.txn_id)
+        # Install in first-write order (the buffer's); one version bump per key.
+        for key, value in txn.buffered.items():
+            rec = self.store.install(key, value)
+            if self.log is not None:
+                self.log.append_redo(txn.txn_id, key, rec.value)
+        if self.log is not None:
+            self.log.seal_txn(txn.txn_id)
+
+        self._drop_write_intents(txn)
+        self._release_all(txn)
+        txn.status = COMMITTED
+        self.active.pop(txn.txn_id, None)
+        return CommitResult(COMMITTED)
+
+    def _attempt_locked(self, txn, op):
+        mode = "X" if op.kind == WRITE else "S"
+        blockers = self._blockers(txn, op.key, mode)
+        if blockers:
+            txn.op_wait += 1
+            self.waits_for[txn.txn_id] = blockers
+            victim = self._find_deadlock_victim(txn.txn_id)
+            if victim is None:
+                return OpOutcome(OpStatus.BLOCKED, txn.op_wait)
+            vic = self.active[victim]
+            self.abort(vic, "deadlock")
+            if vic is txn:
+                return OpOutcome(OpStatus.ABORTED, txn.op_wait)
+            if self._blockers(txn, op.key, mode):
+                return OpOutcome(OpStatus.BLOCKED, txn.op_wait)
+
+        holders = self.locks.setdefault(op.key, {})
+        cur = holders.get(txn.txn_id)
+        if cur != "X":  # never downgrade an exclusive lock
+            holders[txn.txn_id] = mode if cur is None else "X"
+        txn.locks[op.key] = holders[txn.txn_id]
+        self.waits_for.pop(txn.txn_id, None)
+
+        self._perform(txn, op)
+        waited = txn.op_wait
+        txn.op_wait = 0
+        txn.next_op += 1
+        if waited > 0:
+            return OpOutcome(OpStatus.WAITED, waited)
+        return OpOutcome(OpStatus.OK)
+
+    def _find_deadlock_victim(self, start):
+        """Walk the wait-for graph; on a cycle return its youngest member."""
+        path = []
+        on_path = set()
+
+        def dfs(t):
+            if t in on_path:
+                return path[path.index(t):]
+            path.append(t)
+            on_path.add(t)
+            for nxt in sorted(self.waits_for.get(t, ())):
+                if nxt in self.active:
+                    cycle = dfs(nxt)
+                    if cycle is not None:
+                        return cycle
+            path.pop()
+            on_path.discard(t)
+            return None
+
+        cycle = dfs(start)
+        return None if cycle is None else max(cycle)
+
+    def _perform_optimistic(self, txn, op):
+        rec = self.store.read(op.key)
+        if op.kind == READ:
+            txn.read_versions.setdefault(op.key, rec.version)
+        else:
+            txn.write_versions.setdefault(op.key, rec.version)
+        self._perform(txn, op, rec)
+        txn.next_op += 1
+        txn.op_wait = 0
+        if self._contended(txn, op.key):
+            return OpOutcome(OpStatus.CONFLICT_NOTED)
+        return OpOutcome(OpStatus.OK)
+
+
+def reference_run_window(eng: Engine, workload: WorkloadSpec, policy,
+                         duration: float) -> ExecStats:
+    """`Engine.run_window` and `_step_op` as they stood before the op path
+    shared its outcomes, kept verbatim but for `self` -> `eng`, with the
+    arrivals of `reference_schedule`. Drives `eng`, a `ReferenceEngine`,
+    through `execute_op`, `validate_and_commit` and `abort`; the oracle for
+    the window loop and the op path."""
+    if eng.active:
+        raise RuntimeError("engine not quiescent")
+    ticks = int(duration)
+    arrivals = deque((tick, tuple(ops)) for tick, ops in reference_schedule(workload, ticks))
+    retries = deque()
+    held = deque()      # ticks at which rolled-back slots free up
+
+    stats = ExecStats()
+    eng._reset_access_counts()
+    running = []
+    for tick in range(ticks):
+        while held and held[0] <= tick:
+            held.popleft()
+        while len(running) + len(held) < eng.max_workers:
+            if arrivals and arrivals[0][0] <= tick:
+                ops = arrivals.popleft()[1]
+            elif retries:
+                ops = retries.popleft()
+            else:
+                break
+            running.append(eng.begin(ops))
+        still_running = []
+        for txn in running:
+            # a txn may already be a deadlock victim of another's step
+            if txn.status == ACTIVE:
+                if txn.next_op < len(txn.ops):
+                    reference_step_op(eng, txn, policy, stats)
+                else:
+                    eng.validate_and_commit(txn)
+            if txn.status == COMMITTED:
+                stats.committed_count += 1
+            elif txn.status == ABORTED:
+                stats.aborted_count += 1
+                held.append(tick + eng.abort_cost)
+                retries.append(txn.ops)
+            else:
+                still_running.append(txn)
+        running = still_running
+
+    for txn in running:
+        if txn.status == ABORTED:
+            stats.aborted_count += 1
+        else:
+            eng.abort(txn, "window_end")
+            stats.carryover_count += 1
+    stats.carryover_count += len(arrivals) + len(retries)
+
+    assert eng.lock_table_empty(), "locks leaked past window end"
+    assert not eng._write_intents, "write intents leaked past window end"
+    return stats
+
+
+def reference_step_op(eng: Engine, txn, policy, stats: ExecStats) -> None:
+    if txn.stall > 0:
+        txn.stall -= 1
+        return
+    op = txn.ops[txn.next_op]
+    heat = HOT if op.key in eng.hot_keys() else COLD
+    action = policy(op.kind, heat)
+    out = eng.execute_op(txn, op, action)
+    if out.status in (OpStatus.OK, OpStatus.WAITED, OpStatus.CONFLICT_NOTED):
+        eng._count_access(op.key)
+        stats.op_count += 1
+        if action is CCAction.LOCK_IMMEDIATE:
+            stats.locked_op_count += 1
+            stats.total_lock_wait += out.wait
+            txn.stall = eng.lock_overhead
+        if out.status in (OpStatus.WAITED, OpStatus.CONFLICT_NOTED):
+            stats.conflicted_op_count += 1
+
+
+workload_specs = st.builds(
+    WorkloadSpec,
+    key_space=st.integers(1, 30),
+    zipf_theta=st.sampled_from((0.0, 0.8, 1.2)),
+    write_frac=st.sampled_from((0.0, 0.3, 0.8, 1.0)),
+    txn_len=st.integers(1, 5),
+    arrival_rate=st.sampled_from((0.3, 1.0, 3.0, 4.0)),
+    seed=st.integers(0, 2**16),
+)
+
+
+@pytest.mark.parametrize("table", TABLES,
+                         ids=["".join("L" if a is LOCK else "O" for a in t.values())
+                              for t in TABLES])
+@settings(max_examples=25, deadline=None)
+@given(
+    workers=st.integers(1, 16),
+    hot_key_count=st.integers(0, 8),
+    lock_overhead=st.integers(0, 4),
+    abort_cost=st.integers(0, 4),
+    logged=st.booleans(),
+    state=st.builds(SystemState, contention_index=st.sampled_from((0.0, 0.7)),
+                    avg_lock_wait=st.sampled_from((0.0, 4.0))),
+    windows=st.lists(st.tuples(workload_specs, st.integers(0, 40)), min_size=1,
+                     max_size=3),
+)
+def test_run_window_matches_reference_loop(table, workers, hot_key_count, lock_overhead,
+                                           abort_cost, logged, state, windows):
+    def build(engine_class) -> Engine:
+        log = RedoLog(EnclaveSim(seed=11), anchor_every=2) if logged else None
+        return engine_class(log=log, max_workers=workers, hot_key_count=hot_key_count,
+                            lock_overhead=lock_overhead, abort_cost=abort_cost)
+
+    buckets = Bucketizer(buckets=2)
+    strategy = CCStrategy(buckets, {cell: table[cell[2:]] for cell in all_cells(2)})
+    eng, ref = build(Engine), build(ReferenceEngine)
+    for spec, duration in windows:
+        policy, ref_policy = as_policy(strategy, state), as_policy(strategy, state)
+        assert (eng.run_window(spec, policy, duration)
+                == reference_run_window(ref, spec, ref_policy, duration))
+        assert policy.usage == ref_policy.usage
+        assert eng.store.records == ref.store.records
+    if logged:
+        assert eng.log.to_text() == ref.log.to_text()
 
 
 # -- window schedule ------------------------------------------------------------
