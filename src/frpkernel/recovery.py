@@ -11,9 +11,10 @@ stored record whose checksum fails, or whose (value, version) disagrees with
 the latest sealed log state, is flagged as tampered and can be rebuilt from
 the most recent anchor.
 
-Each record's line (`rec.line()`) is rendered or loaded once and kept beside
-it for seal digests, `verify_log` and `to_text`; a loaded line must match the
-canonical form exactly, so rendering its record gives the same line back.
+The log keeps each record's canonical line, rendered or loaded once, for seal
+digests, `verify_log` and `to_text`, and no entry object: `records` decodes
+the lines on each read. A loaded line must match the canonical form exactly,
+so rendering the record it decodes to gives the same line back.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import attrgetter
@@ -127,27 +128,28 @@ def _check_key(key: str) -> str:
 
 class RedoLog:
     """An append-only redo log. Records enter only through `append_redo`,
-    `seal_txn` and `from_text`, each via `_index_record`, so every record's
-    lsn equals its position in `_records` and in `_lines`, and state derived
-    from the records only has to catch up with appends, never with an edit."""
+    `seal_txn` and `from_text`, each via the indexer of its kind (`_add_*`),
+    so a reloaded log has the same lines and maps as the one that wrote it,
+    and every record's lsn is its position in `_lines`."""
 
     def __init__(self, enclave: EnclaveSim, anchor_every: int = 4):
         if anchor_every < 1:
             raise ValueError("anchor_every must be >= 1")
         self._enclave = enclave
         self.anchor_every = anchor_every
-        self._records: list = []
-        self._lines: list[str] = []     # _lines[lsn] == _records[lsn].line()
-        # derived from `_records` by _index_record, on append and on load
+        self._lines: list[str] = []     # each record's canonical line, by lsn
+        # derived from each record by its indexer, on append and on load
+        self._state: list = []      # lsn -> (value, version) of an entry, None for a seal
         self._latest: dict[str, tuple[int, int]] = {}   # key -> (value, version)
         self._txn_lsns: dict[int, list[int]] = {}
         self._sealed: set[int] = set()
         self._key_redos: dict[str, list[int]] = {}
         self._key_anchors: dict[str, list[int]] = {}
-        # derived by _index_seals from the first _indexed records
-        self._indexed = 0
         self._seals: list = []      # every TxnSeal, in record order
+        # derived by _index_seals from the first _indexed seals
+        self._indexed = 0
         self._by_first: list = []   # non-empty seals by first_lsn, record order on ties
+        self._firsts: list = []     # the first_lsn of each seal in _by_first
         self._reach: list = []      # _reach[j]: largest last_lsn in _by_first[:j + 1]
         self._verdicts: dict[int, bool] = {}   # seal lsn -> _seal_ok(seal)
         # running totals of _range_digest's work; recover reports its share
@@ -160,7 +162,7 @@ class RedoLog:
 
     @property
     def records(self) -> tuple:
-        return tuple(self._records)
+        return tuple(map(_parse_record, self._lines))
 
     @property
     def enclave(self) -> EnclaveSim:
@@ -174,12 +176,13 @@ class RedoLog:
     def append_redo(self, txn_id: int, key: str, new_value: int) -> int:
         _check_key(key)
         mod_index = self.expected_state(key)[1] + 1
-        lsn = len(self._records)
-        entry = RedoEntry(lsn, txn_id, key, new_value, mod_index)
-        self._index_record(entry, entry.line())
+        lsn = len(self._lines)
+        # the lines RedoEntry.line() and AnchorEntry.line() render
+        self._add_redo(f"R|{lsn}|{txn_id}|{key}|{new_value}|{mod_index}",
+                       lsn, txn_id, key, new_value, mod_index)
         if mod_index % self.anchor_every == 0:
-            anchor = AnchorEntry(lsn + 1, key, new_value, mod_index, mod_index)
-            self._index_record(anchor, anchor.line())
+            self._add_anchor(f"A|{lsn + 1}|{key}|{new_value}|{mod_index}|{mod_index}",
+                             lsn + 1, key, new_value, mod_index, txn_id)
         return lsn
 
     def seal_txn(self, txn_id: int) -> TxnSeal:
@@ -190,14 +193,15 @@ class RedoLog:
         lsns = self._txn_lsns[txn_id]
         if lsns:
             first, last = lsns[0], lsns[-1]
-            if lsns != list(range(first, last + 1)):
+            # lsns are only appended in increasing order: contiguous iff dense
+            if last - first + 1 != len(lsns):
                 raise LogError("txn entries not contiguous; appends must be serialized")
         else:
             first = last = -1
         digest = self._range_digest(txn_id, first, last)
-        seal = TxnSeal(len(self._records), txn_id, first, last, digest,
+        seal = TxnSeal(len(self._lines), txn_id, first, last, digest,
                        self._enclave.sign(digest))
-        self._index_record(seal, seal.line())
+        self._add_seal(seal.line(), seal)
         return seal
 
     def _range_digest(self, txn_id: int, first: int, last: int) -> str:
@@ -217,17 +221,16 @@ class RedoLog:
         return all(self._verdict(seal) for seal in self._seals)
 
     def _index_seals(self) -> None:
-        """Bring `_seals`, `_by_first` and `_reach` up to date with the
-        records appended since the last call; an unchanged log costs one
-        length compare."""
-        records = self._records
-        if self._indexed != len(records):
-            self._seals += [rec for rec in records[self._indexed:]
-                            if isinstance(rec, TxnSeal)]
-            self._by_first = sorted((s for s in self._seals if s.first_lsn >= 0),
+        """Bring `_by_first`, `_firsts` and `_reach` up to date with the seals
+        appended since the last call; an unchanged log costs one length
+        compare."""
+        seals = self._seals
+        if self._indexed != len(seals):
+            self._by_first = sorted((s for s in seals if s.first_lsn >= 0),
                                     key=attrgetter("first_lsn"))
+            self._firsts = [s.first_lsn for s in self._by_first]
             self._reach = list(accumulate((s.last_lsn for s in self._by_first), max))
-            self._indexed = len(records)
+            self._indexed = len(seals)
 
     def _verdict(self, seal: TxnSeal) -> bool:
         """`_seal_ok(seal)`, computed once per seal for the log's life: a
@@ -264,10 +267,9 @@ class RedoLog:
         """(base_record, redo_lsns) recovery would use; replay is bounded by n."""
         anchors = self._key_anchors.get(key, [])
         if anchors:
-            anchor: AnchorEntry = self._records[anchors[-1]]
-            base = Record(key, anchor.full_value, anchor.full_version,
-                          compute_checksum(key, anchor.full_value, anchor.full_version))
-            start = anchor.lsn
+            start = anchors[-1]
+            value, version = self._state[start]
+            base = Record(key, value, version, compute_checksum(key, value, version))
         else:
             base = Record.initial(key)
             start = -1
@@ -281,12 +283,12 @@ class RedoLog:
         overlaps the replayed range [anchor, last redo] in lsn order (also
         seals of other transactions inside it), and checks that each replayed
         entry lies in a verified seal; any failure raises RecoveryRefused.
-        The anchor and the redo lsns come from per-key maps that
-        `_index_record` extends as each record is appended or loaded. The
-        seal lookup reads an index brought up to date with the appended
-        records (see `_index_seals`), so a recovery costs the seals in its
-        range, not the log length. Each seal is verified at most once in the
-        log's life: its verdict is kept, and `verify_log` shares it.
+        The anchor, the redo lsns and their (value, version) come from maps
+        the indexers extend as each record is appended or loaded. The seals
+        are found by bisection in an index brought up to date with the
+        appended seals (see `_index_seals`), so a recovery costs the seals in
+        its range, not the log length. Each seal is verified at most once in
+        the log's life: its verdict is kept, and `verify_log` shares it.
         `last_replay_count` and `last_seals_verified` report the replayed
         entries and the seals checked; `last_seals_hashed` and
         `last_bytes_scanned` report the seals whose digest this call
@@ -306,32 +308,26 @@ class RedoLog:
         finally:
             self.last_seals_hashed = self._seals_hashed - hashed
             self.last_bytes_scanned = self._bytes_hashed - scanned
-        value, version = base.value, base.version
-        for lsn in redo_lsns:
-            entry: RedoEntry = self._records[lsn]
-            value, version = entry.new_value, entry.mod_index
+        value, version = self._state[redo_lsns[-1]] if redo_lsns else (base.value, base.version)
         self.last_replay_count = len(redo_lsns)
         return Record(key, value, version, compute_checksum(key, value, version))
 
     def _check_replay_range(self, lo: int, hi: int, touched: list[int]) -> int:
         """Verify the seals overlapping [lo, hi]; return how many were verified."""
         self._index_seals()
-        by_first, reach = self._by_first, self._reach
-        # seals with first_lsn <= hi form a prefix of by_first; walk it back
-        # while some seal left in it still reaches lo
-        overlapping = []
-        j = bisect_right(by_first, hi, key=attrgetter("first_lsn"))
-        while j > 0 and reach[j - 1] >= lo:
-            j -= 1
-            if by_first[j].last_lsn >= lo:
-                overlapping.append(by_first[j])
-        overlapping.sort(key=attrgetter("lsn"))
-        covered: set[int] = set()
+        firsts, reach = self._firsts, self._reach
+        # reach is non-decreasing, so the seals starting at or before hi whose
+        # prefix of _by_first reaches lo form one slice of it
+        overlapping = sorted((s for s in self._by_first[bisect_left(reach, lo):
+                                                        bisect_right(firsts, hi)]
+                              if s.last_lsn >= lo), key=attrgetter("lsn"))
         for rec in overlapping:
             if not self._verdict(rec):
                 raise RecoveryRefused(f"seal at lsn {rec.lsn} failed verification")
-            covered.update(range(rec.first_lsn, rec.last_lsn + 1))
-        missing = [l for l in touched if l not in covered]
+        # a seal covering a touched lsn overlaps [lo, hi] and was just
+        # verified, so the lsn is covered iff the seals starting by it reach it
+        missing = [l for l in touched
+                   if (j := bisect_right(firsts, l)) == 0 or reach[j - 1] < l]
         if missing:
             raise RecoveryRefused(f"entries {missing} not covered by any valid seal")
         return len(overlapping)
@@ -364,32 +360,45 @@ class RedoLog:
             raise LogCorrupt("header MAC mismatch")
 
         log = cls(enclave, anchor_every=n)
+        prev = None     # the fields of the line before, if it is a redo entry
         for raw in lines[1:]:
-            rec = _parse_record(raw)
-            if rec.lsn != len(log._records):
-                raise LogCorrupt(f"lsn gap at {rec.lsn}")
-            log._index_record(rec, raw)
+            tag, fields = _fields(raw)
+            if fields[0] != len(log._lines):
+                raise LogCorrupt(f"lsn gap at {fields[0]}")
+            if tag == "R":
+                log._add_redo(raw, *fields)
+            elif tag == "A":    # in the txn whose redo of the same key it follows
+                log._add_anchor(raw, *fields[:4],
+                                prev[1] if prev and prev[2] == fields[1] else None)
+            else:
+                log._add_seal(raw, TxnSeal(*fields))
+            prev = fields if tag == "R" else None
         return log
 
-    def _index_record(self, rec, line: str) -> None:
-        """Append `rec` and its line, and derive the per-txn and per-key maps
-        from `rec`. Appends and loads both go through here, so a reloaded log
-        has the same lines and maps as the one that wrote it."""
-        self._records.append(rec)
+    # -- indexers ------------------------------------------------------------
+
+    def _add_redo(self, line: str, lsn: int, txn_id: int, key: str, value: int,
+                  mod_index: int) -> None:
         self._lines.append(line)
-        if isinstance(rec, RedoEntry):
-            self._txn_lsns.setdefault(rec.txn_id, []).append(rec.lsn)
-            self._key_redos.setdefault(rec.key, []).append(rec.lsn)
-            self._latest[rec.key] = (rec.new_value, rec.mod_index)
-        elif isinstance(rec, AnchorEntry):
-            self._key_anchors.setdefault(rec.key, []).append(rec.lsn)
-            # anchors ride in the committing txn's contiguous range
-            prev = self._records[rec.lsn - 1] if rec.lsn > 0 else None
-            if isinstance(prev, RedoEntry) and prev.key == rec.key:
-                self._txn_lsns.setdefault(prev.txn_id, []).append(rec.lsn)
-        elif isinstance(rec, TxnSeal):
-            self._sealed.add(rec.txn_id)
-            self._txn_lsns.setdefault(rec.txn_id, [])
+        self._state.append(state := (value, mod_index))
+        self._latest[key] = state
+        self._txn_lsns.setdefault(txn_id, []).append(lsn)
+        self._key_redos.setdefault(key, []).append(lsn)
+
+    def _add_anchor(self, line: str, lsn: int, key: str, value: int, version: int,
+                    txn_id) -> None:    # the txn whose range it rides in, or None
+        self._lines.append(line)
+        self._state.append((value, version))
+        self._key_anchors.setdefault(key, []).append(lsn)
+        if txn_id is not None:
+            self._txn_lsns.setdefault(txn_id, []).append(lsn)
+
+    def _add_seal(self, line: str, seal: TxnSeal) -> None:
+        self._lines.append(line)
+        self._state.append(None)
+        self._seals.append(seal)
+        self._sealed.add(seal.txn_id)
+        self._txn_lsns.setdefault(seal.txn_id, [])
 
 
 def _parse_int(text: str) -> int:
@@ -402,27 +411,35 @@ def _parse_int(text: str) -> int:
     raise LogCorrupt(f"not a canonical integer: {text[:80]!r}")
 
 
-# tag -> (fullmatch of a canonical line with that tag, record from its fields)
+# tag -> (fullmatch of a canonical line with that tag, its groups to the fields)
 _FORMS = {
     "R": (re.compile(rf"R\|{_INT}\|{_INT}\|{_KEY}\|{_INT}\|{_INT}").fullmatch,
-          lambda lsn, txn, key, value, mod:
-          RedoEntry(int(lsn), int(txn), key, int(value), int(mod))),
+          lambda lsn, txn, key, value, mod: (int(lsn), int(txn), key, int(value), int(mod))),
     "A": (re.compile(rf"A\|{_INT}\|{_KEY}\|{_INT}\|{_INT}\|{_INT}").fullmatch,
           lambda lsn, key, value, version, mod:
-          AnchorEntry(int(lsn), key, int(value), int(version), int(mod))),
+          (int(lsn), key, int(value), int(version), int(mod))),
     "S": (re.compile(rf"S\|{_INT}\|{_INT}\|{_INT}\|{_INT}\|{_HEX}\|{_HEX}").fullmatch,
           lambda lsn, txn, first, last, digest, signature:
-          TxnSeal(int(lsn), int(txn), int(first), int(last), digest, signature)),
+          (int(lsn), int(txn), int(first), int(last), digest, signature)),
 }
+_KINDS = {"R": RedoEntry, "A": AnchorEntry, "S": TxnSeal}
 
 
-def _parse_record(raw: str):
-    """The record whose `line()` is exactly `raw`, or LogCorrupt."""
-    match, build = _FORMS.get(raw[:1], (None, None))
+def _fields(raw: str) -> tuple[str, tuple]:
+    """The tag and the fields of the record whose `line()` is exactly `raw`,
+    or LogCorrupt."""
+    tag = raw[:1]
+    match, convert = _FORMS.get(tag, (None, None))
     fields = match(raw) if match else None
     if fields is None:
         raise LogCorrupt(f"unparseable or non-canonical record: {raw!r}")
     try:
-        return build(*fields.groups())
+        return tag, convert(*fields.groups())
     except ValueError:      # int() refuses more than 4,300 digits
         raise LogCorrupt(f"not an integer in record: {raw[:80]!r}") from None
+
+
+def _parse_record(raw: str):
+    """The record whose `line()` is exactly `raw`, or LogCorrupt."""
+    tag, fields = _fields(raw)
+    return _KINDS[tag](*fields)

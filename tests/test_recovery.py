@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import re
 from collections import Counter
 
@@ -98,6 +99,26 @@ def test_double_seal_errors():
     append_and_seal(log, 1, [("x", 1)])
     with pytest.raises(LogError):
         log.seal_txn(1)
+
+
+def test_seal_refuses_interleaved_txn_and_second_seal():
+    """A seal covers one contiguous lsn range, so a txn whose appends
+    interleave with another's cannot be sealed, and a refused seal appends
+    nothing. A txn is sealed once, whether it wrote entries or none."""
+    log = make_log(n=2)
+    for txn_id in (1, 2, 3):
+        log.register_txn(txn_id)
+    log.append_redo(1, "x", 1)
+    log.append_redo(2, "y", 2)
+    log.append_redo(1, "x", 3)      # with its anchor
+    with pytest.raises(LogError, match="not contiguous"):
+        log.seal_txn(1)
+    assert len(log.records) == 4
+    for txn_id in (2, 3):
+        log.seal_txn(txn_id)
+        with pytest.raises(LogError, match="already sealed"):
+            log.seal_txn(txn_id)
+    assert len(log.records) == 6 and log.verify_log()
 
 
 def test_distinct_txns_distinct_digests():
@@ -462,11 +483,12 @@ def reference_recover(log, key):
     base, redo_lsns = log.replay_plan(key)
     anchors = log._key_anchors.get(key, [])
     touched = ([anchors[-1]] if anchors else []) + redo_lsns
+    records = log.records     # decoded from the log's lines on each read
     verified = 0
     if touched:
         lo, hi = min(touched), max(touched)
         covered = set()
-        for rec in log.records:
+        for rec in records:
             if not isinstance(rec, TxnSeal):
                 continue
             if rec.first_lsn < 0 or rec.last_lsn < lo or rec.first_lsn > hi:
@@ -480,7 +502,7 @@ def reference_recover(log, key):
             raise RecoveryRefused(f"entries {missing} not covered by any valid seal")
     value, version = base.value, base.version
     for lsn in redo_lsns:
-        entry = log.records[lsn]
+        entry = records[lsn]
         value, version = entry.new_value, entry.mod_index
     return (Record(key, value, version, compute_checksum(key, value, version)),
             len(redo_lsns), verified)
@@ -659,8 +681,9 @@ def test_each_seal_verified_once(n, events):
     assert [r[0] for r in cold] == [r[0] for r in warm]
     # every seal is intact, so each check recomputes its digest
     assert sum(r[1] for r in cold) == len(cold_calls)
+    cold_records = cold_log.records
     assert sum(r[2] for r in cold) == sum(
-        len(cold_log.records[lsn].line())
+        len(cold_records[lsn].line())
         for seal in seals if seal.lsn in cold_calls
         for lsn in range(seal.first_lsn, seal.last_lsn + 1))
 
@@ -724,11 +747,12 @@ def test_index_maps_match_plain_scan(n, txns):
         check(log)
 
     count = {}
-    for rec in log.records:
+    records = log.records
+    for rec in records:
         if isinstance(rec, RedoEntry):
             count[rec.key] = count.get(rec.key, 0) + 1
             assert rec.mod_index == count[rec.key]
-            anchored = isinstance(log.records[rec.lsn + 1], AnchorEntry)
+            anchored = isinstance(records[rec.lsn + 1], AnchorEntry)
             assert anchored == (rec.mod_index % n == 0)
     check(RedoLog.from_text(log.to_text(), log.enclave))
 
@@ -895,16 +919,17 @@ TEXT_KEYS = ("a", "é", "键", "k🙂", "x y", "b\r")
 def overlap_line_bytes(log, key):
     """UTF-8 bytes of the records' rendered lines under every non-empty seal
     whose range overlaps `key`'s replayed range [last anchor, last redo]."""
-    anchors = [r.lsn for r in log.records
+    records = log.records
+    anchors = [r.lsn for r in records
                if isinstance(r, AnchorEntry) and r.key == key]
     start = anchors[-1] if anchors else -1
-    touched = anchors[-1:] + [r.lsn for r in log.records if isinstance(r, RedoEntry)
+    touched = anchors[-1:] + [r.lsn for r in records if isinstance(r, RedoEntry)
                               and r.key == key and r.lsn > start]
     if not touched:
         return 0
     lo, hi = min(touched), max(touched)
-    return sum(len(log.records[lsn].line().encode())
-               for s in log.records
+    return sum(len(records[lsn].line().encode())
+               for s in records
                if isinstance(s, TxnSeal) and s.first_lsn >= 0
                and s.first_lsn <= hi and s.last_lsn >= lo
                for lsn in range(s.first_lsn, s.last_lsn + 1))
@@ -935,3 +960,113 @@ def test_kept_lines_match_rendered_records(n, txns):
         cold = RedoLog.from_text(text, log.enclave)
         cold.recover(key)
         assert cold.last_bytes_scanned == overlap_line_bytes(log, key)
+
+
+# -- differential oracle: the log against the calls that wrote it --------------
+
+CALL_KEYS = ("a", "b", "é", "键🙂")
+# when each txn is sealed: right after its appends, after every txn's
+# appends, on the log and on its reload both, or never
+SEAL_WHEN = ("now", "later", "after reload", "never")
+
+
+def model_log(n, txns, enclave):
+    """From the calls alone: the records a log holds after the appends and
+    the "now" and "later" seals, the records after the "after reload" seals
+    too, and each key's writes as (lsn, txn, value, anchor lsn or None)."""
+    records, count, history, ranges = [], {}, {}, {}
+
+    def seal(txn_id):
+        first, last = ranges.get(txn_id, (-1, -1))
+        h = hashlib.sha256(f"seal:{txn_id}".encode())
+        if first >= 0:
+            h.update(("\n" + "\n".join(r.line() for r in records[first:last + 1])).encode())
+        digest = h.hexdigest()
+        records.append(TxnSeal(len(records), txn_id, first, last, digest,
+                               enclave.sign(digest)))
+
+    for txn_id, (writes, when) in enumerate(txns, start=1):
+        start = len(records)
+        for key, value in writes:
+            count[key] = count.get(key, 0) + 1
+            lsn = len(records)
+            records.append(RedoEntry(lsn, txn_id, key, value, count[key]))
+            anchor = None
+            if count[key] % n == 0:
+                anchor = lsn + 1
+                records.append(AnchorEntry(anchor, key, value, count[key], count[key]))
+            history.setdefault(key, []).append((lsn, txn_id, value, anchor))
+        if len(records) > start:
+            ranges[txn_id] = (start, len(records) - 1)
+        if when == "now":
+            seal(txn_id)
+    phases = []
+    for phase in ("later", "after reload"):
+        for txn_id, (_, when) in enumerate(txns, start=1):
+            if when == phase:
+                seal(txn_id)
+        phases.append(list(records))
+    return phases[0], phases[1], history
+
+
+def shadow_recover(n, history, sealed, key):
+    """What `recover(key)` returns, with the replay count, or raises, after
+    the txns in `sealed` were sealed: replay from the last anchor, which
+    rides in the range of its write's txn, and refuse if an entry replayed
+    lies in an unsealed txn."""
+    writes = history.get(key, [])
+    anchored = len(writes) - len(writes) % n    # the last anchor's version
+    touched = [(writes[anchored - 1][3], writes[anchored - 1][1])] if anchored else []
+    touched += [(lsn, txn_id) for lsn, txn_id, _, _ in writes[anchored:]]
+    missing = [lsn for lsn, txn_id in touched if txn_id not in sealed]
+    if missing:
+        raise RecoveryRefused(f"entries {missing} not covered by any valid seal")
+    if not writes:
+        return Record.initial(key), 0
+    value, version = writes[-1][2], len(writes)
+    return Record(key, value, version, compute_checksum(key, value, version)), \
+        len(writes) - anchored
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    txns=st.lists(st.tuples(st.lists(st.tuples(st.sampled_from(CALL_KEYS),
+                                               st.integers(-10**6, 10**6)),
+                                     max_size=3),
+                            st.sampled_from(SEAL_WHEN)),
+                  max_size=10),
+)
+def test_log_matches_model_of_its_calls(n, txns):
+    """A log's records, its reload's records and every recovery equal what
+    the append and seal calls alone determine: on the log that made the
+    calls, and on its reload after the txns left unsealed are sealed
+    there. Txns may be empty, stay unsealed, or write a key twice."""
+    enclave = EnclaveSim(seed=5)
+    written, final, history = model_log(n, txns, enclave)
+    log = RedoLog(enclave, anchor_every=n)
+    for txn_id, (writes, when) in enumerate(txns, start=1):
+        log.register_txn(txn_id)
+        for key, value in writes:
+            log.append_redo(txn_id, key, value)
+        if when == "now":
+            log.seal_txn(txn_id)
+    for txn_id, (_, when) in enumerate(txns, start=1):
+        if when == "later":
+            log.seal_txn(txn_id)
+    assert list(log.records) == written
+    loaded = RedoLog.from_text(log.to_text(), enclave)
+    assert loaded.records == log.records
+
+    sealed = {txn_id for txn_id, (_, when) in enumerate(txns, start=1)
+              if when != "never"}
+    for target in (log, loaded):
+        for txn_id, (_, when) in enumerate(txns, start=1):
+            if when == "after reload":
+                target.register_txn(txn_id)
+                target.seal_txn(txn_id)
+        assert list(target.records) == final
+        assert RedoLog.from_text(target.to_text(), enclave).records == target.records
+        for key in CALL_KEYS + ("ghost",):
+            assert outcome(lambda: (target.recover(key), target.last_replay_count)) \
+                == outcome(lambda: shadow_recover(n, history, sealed, key))

@@ -3,7 +3,7 @@
 
 For each target length (1k, 4k, 16k and 64k records), the script draws a
 write stream from `--seed`: transactions of 1 to 4 distinct keys out of 200,
-each followed by its seal, until the log reaches the target. It times five
+each followed by its seal, until the log reaches the target. It times six
 phases on it, `--repeats` times each, and prints one JSON object with the
 fastest time of each phase in milliseconds:
 
@@ -11,6 +11,8 @@ fastest time of each phase in milliseconds:
   transaction, into an empty log;
 - `to_text_ms`: serializing the log;
 - `from_text_ms`: loading the text into a new log;
+- `records_ms`: reading `records` of a freshly loaded log, which decodes
+  every kept line into a record object;
 - `verify_log_ms`: `verify_log()` on a freshly loaded log, which knows no
   seal's verdict yet;
 - `recover_ms`: `recover` of every written key on another freshly loaded
@@ -96,6 +98,7 @@ def main() -> None:
         from_text_ms, _ = fastest(args.repeats, lambda _: RedoLog.from_text(text, enclave))
         # a log keeps each seal's verdict, so these time freshly loaded logs
         loaded = lambda: RedoLog.from_text(text, enclave)    # noqa: E731
+        records_ms, _ = fastest(args.repeats, lambda cold: cold.records, loaded)
         verify_ms, ok = fastest(args.repeats, RedoLog.verify_log, loaded)
         if not ok:
             raise SystemExit(f"error: the {target}-record log failed verify_log")
@@ -107,6 +110,7 @@ def main() -> None:
                               "append_seal_ms": round(append_ms, 3),
                               "to_text_ms": round(to_text_ms, 3),
                               "from_text_ms": round(from_text_ms, 3),
+                              "records_ms": round(records_ms, 3),
                               "verify_log_ms": round(verify_ms, 3),
                               "recover_ms": round(recover_ms, 3)}
     print(json.dumps({"seed": args.seed, "keys": KEYS, "anchor_every": ANCHOR_EVERY,
