@@ -6,11 +6,13 @@ is the i-th name). Instead of hint sets, plan diversity comes from solving
 that optimizer under multiplicatively perturbed cardinality estimates; the
 unmutated base plan is always kept. All estimate views of a query are
 solved together, in one DP batched by subset size: numpy costs every split
-of every subset of a size under every view, and Python builds plan keys
-only for the splits that reach a subset's minimum. One view is the same DP
-with one row. An upper-confidence bandit then picks among the candidates
-per query template and learns from observed latencies, which depend only on
-true cardinalities, never on the estimates.
+of every subset of a size under every view and marks the join choices that
+reach each subset's minimum. Python then builds plan keys lazily, top-down
+from the full relation set, only for the subsets on each view's winning
+tree and the sides of exact ties. One view is the same DP with one row. An
+upper-confidence bandit then picks among the candidates per query template
+and learns from observed latencies, which depend only on true
+cardinalities, never on the estimates.
 
 Cost model per node (cards taken from whichever estimate view is in force):
 scan costs its row count; a hash join costs 1.5 * (left + right) + output,
@@ -54,6 +56,11 @@ class RelStats:
     est_rows: float
 
 
+def _positive_finite(*values: float) -> bool:
+    """False for zero, negative, NaN or infinite values."""
+    return all(v > 0 and math.isfinite(v) for v in values)
+
+
 class Catalog:
     """True and estimated base cardinalities and pairwise join selectivities.
 
@@ -63,12 +70,12 @@ class Catalog:
     def __init__(self, relations: dict[str, RelStats],
                  selectivities: dict[tuple[str, str], tuple[float, float]]):
         for name, stats in relations.items():
-            if stats.true_rows <= 0 or stats.est_rows <= 0:
-                raise ValueError(f"rows for {name} must be positive")
+            if not _positive_finite(stats.true_rows, stats.est_rows):
+                raise ValueError(f"rows for {name} must be positive and finite")
         sels = {}
         for pair, (true_sel, est_sel) in selectivities.items():
-            if true_sel <= 0 or est_sel <= 0:
-                raise ValueError(f"selectivity for {pair} must be positive")
+            if not _positive_finite(true_sel, est_sel):
+                raise ValueError(f"selectivity for {pair} must be positive and finite")
             a, b = pair
             if a not in relations or b not in relations:
                 raise ValueError(f"selectivity references unknown relation {pair}")
@@ -307,34 +314,47 @@ def simulate_latency(plan: PlanTree, catalog: Catalog, gen=None,
 
 @lru_cache(maxsize=8)   # one entry per relation count; structure, never results
 def _levels(n: int) -> tuple:
-    """The splits of every subset of n relations, one level per subset size
-    2..n. A split is (subset, left side, right side), where the left side
-    holds the subset's lowest bit, and the splits of a subset are adjacent.
-    Per level: its subsets as bitmasks, where each subset's splits start,
-    and per split its subset's index in the level, as numpy arrays; then the
-    split columns, as numpy arrays and as tuples for the Python pass."""
-    levels = []
+    """The splits of every subset of n relations, numbered subset by subset
+    in order of subset size 2..n. A split is (subset, left side, right
+    side), where the left side holds the subset's lowest bit, and the
+    splits of a subset are adjacent. Returns, as numpy arrays, per level of
+    subset size: its subsets as bitmasks, where each subset's splits start
+    within the level, each split's left side, right side and subset, and
+    the level's slice of split numbers; then, over all levels, where each
+    subset's splits start, with the split count appended. Then, as tuples
+    for the Python pass: each mask's subset number (-1 below two bits) and
+    each split's left and right side."""
+    masks, starts, parent, left, right, bounds = [], [], [], [], [], []
     for size in range(2, n + 1):
-        masks = [m for m in range(1 << n) if m.bit_count() == size]
-        starts, seg, parent, left, right = [], [], [], [], []
-        for i, mask in enumerate(masks):
-            starts.append(len(seg))
+        first = len(masks), len(parent)
+        for mask in [m for m in range(1 << n) if m.bit_count() == size]:
+            masks.append(mask)
+            starts.append(len(parent))
             low = mask & -mask
             rest = mask ^ low
             sub = (rest - 1) & rest
             while True:
-                seg.append(i)
                 parent.append(mask)
                 left.append(sub | low)
                 right.append(rest ^ sub)
                 if not sub:
                     break
                 sub = (sub - 1) & rest
-        arrays = tuple(np.array(col) for col in (masks, starts, seg, parent, left, right))
-        for a in arrays:
-            a.flags.writeable = False
-        levels.append((arrays, (tuple(parent), tuple(left), tuple(right))))
-    return tuple(levels)
+        bounds.append((first, (len(masks), len(parent))))
+
+    def frozen(values) -> np.ndarray:
+        array = np.array(values, dtype=np.intp)
+        array.flags.writeable = False
+        return array
+
+    levels = tuple(
+        (frozen(masks[m0:m1]), frozen([s - s0 for s in starts[m0:m1]]),
+         frozen(left[s0:s1]), frozen(right[s0:s1]), frozen(parent[s0:s1]), slice(s0, s1))
+        for (m0, s0), (m1, s1) in bounds)
+    pos = [-1] * (1 << n)
+    for j, mask in enumerate(masks):
+        pos[mask] = j
+    return levels, frozen(starts + [len(parent)]), tuple(pos), tuple(left), tuple(right)
 
 
 def _optimize(query: Query, views: Sequence[CardinalityVector]) -> list[PlanTree]:
@@ -345,12 +365,15 @@ def _optimize(query: Query, views: Sequence[CardinalityVector]) -> list[PlanTree
     proper subset is solved first. Each subset tries every split into two
     sides with both join algorithms and both input orders: O(3^n) split work
     per view, for at most 8 relations. Numpy costs every split of a level
-    under every view and takes each subset's minimum. The winner is the
-    argmin of (cost, canonical plan string): Python visits only the splits
-    that reach the minimum, builds the winner's key (both orientations for a
-    hash join, which costs the same both ways round) and compares keys only
-    where splits tie exactly. Views with the same winning plan share one
-    tree."""
+    under every view, takes each subset's minimum and marks the join choices
+    that reach it. The winner is the argmin of (cost, canonical plan
+    string). Python finds it lazily, top-down from the full set with one
+    memo per view: a subset with one tied (split, choice) pair takes it,
+    comparing its sides' keys only to orient a hash join (which costs the
+    same both ways round); a subset with several builds each tied pair's key
+    and keeps the least. So only the subsets on a winning tree, and the
+    sides of exact ties, ever get a key. The views share one `Join` per
+    distinct sub-plan key."""
     if len(query.relations) > 8:
         raise ValueError("queries beyond 8 relations are out of scope")
     rels = sorted(query.relations)
@@ -360,52 +383,87 @@ def _optimize(query: Query, views: Sequence[CardinalityVector]) -> list[PlanTree
     card = _cards(np.arange(1 << len(rels)), factor_masks, values)
     cost = card.copy()                   # a single relation costs its scan
     n_views, size = card.shape
-    # per view and mask: the winner's (key, left side, algorithm)
-    win = [[None] * size for _ in range(n_views)]
-    for i, rel in enumerate(rels):
-        for row in win:
-            row[1 << i] = (rel, 0, None)
+    levels, runs, pos, left_of, right_of = _levels(len(rels))
+    n_splits = len(left_of)
 
-    for (masks, starts, seg, parent, left, right), cols in _levels(len(rels)):
-        lc, rc, out = card[:, left], card[:, right], card[:, parent]
-        base = cost[:, left] + cost[:, right]
-        # `plan_cost`'s operations in its order, so a plan's cost is one float
+    # per join choice (hash join, left-outer and right-outer nested loop),
+    # view and split: whether the pair reaches its subset's minimum
+    ties = np.empty((3, n_views, n_splits), dtype=bool)
+    for masks, starts, left, right, parent, splits in levels:
+        lc, rc, out = (card.take(side, axis=1) for side in (left, right, parent))
+        base = cost.take(left, axis=1) + cost.take(right, axis=1)
+        # `plan_cost`'s operations in its order, so a plan's cost is one
+        # float; IEEE multiplication commutes, so lc * rc also stands for
+        # the right-outer order's rc * lc
+        product = lc * rc
         hash_join = base + (HASH_INPUT_FACTOR * (lc + rc) + out)
-        left_outer = base + (lc + lc * rc + out)
-        right_outer = base + (rc + rc * lc + out)
+        left_outer = base + (lc + product + out)
+        right_outer = base + (rc + product + out)
         # fmin skips a NaN cost, as a `<=` scan over the splits would
-        best = np.fmin.reduceat(np.fmin(np.fmin(hash_join, left_outer), right_outer),
-                                starts, axis=1)
-        cost[:, masks] = best
-        ties = np.stack((hash_join, left_outer, right_outer)) == best[:, seg]
-        parent_of, left_of, right_of = cols
-        for choice, v, s in zip(*(a.tolist() for a in np.nonzero(ties))):
-            w = win[v]
-            l, r = left_of[s], right_of[s]
-            kl, kr = w[l][0], w[r][0]
+        cost[:, masks] = np.fmin.reduceat(
+            np.fmin(np.fmin(hash_join, left_outer), right_outer), starts, axis=1)
+        best = cost.take(parent, axis=1)
+        for choice, split_cost in enumerate((hash_join, left_outer, right_outer)):
+            np.equal(split_cost, best, out=ties[choice, :, splits])
+    # the tied (view, split)s as flat indices view * n_splits + split, each
+    # with its tied choices as bits, and where each (view, subset)'s tied
+    # splits start and end among them; read through memoryviews, which
+    # return Python ints, as the Python pass reads only a few entries
+    hash_tie, left_tie, right_tie = ties.reshape(3, -1)
+    flat = np.flatnonzero(hash_tie | left_tie | right_tie)
+    choices = memoryview(hash_tie.take(flat) + 2 * left_tie.take(flat)
+                         + 4 * right_tie.take(flat))
+    bounds = memoryview(np.searchsorted(flat, np.arange(n_views)[:, None] * n_splits + runs))
+    flat = memoryview(flat)
+    full = size - 1
+    scans = {1 << i: Scan(rel) for i, rel in enumerate(rels)}
+    leaf_entries = {bit: (scan.relation, 0, None) for bit, scan in scans.items()}
+
+    def winners(v: int) -> dict:
+        """mask -> (key, left side, algorithm) of view v's winner, for the
+        full set and every subset its key reads."""
+        memo = dict(leaf_entries)
+        offset = v * n_splits
+
+        def key(mask: int) -> str:
+            entry = memo.get(mask)
+            if entry is None:
+                j = pos[mask]
+                lo, hi = bounds[v, j], bounds[v, j + 1]
+                bits = choices[lo]
+                if hi - lo == 1 and not bits & (bits - 1):     # one tied pair
+                    entry = tied(flat[lo] - offset, bits >> 1)
+                else:
+                    entry = min(tied(flat[i] - offset, choice) for i in range(lo, hi)
+                                for choice in range(3) if choices[i] >> choice & 1)
+                memo[mask] = entry
+            return entry[0]
+
+        def tied(split: int, choice: int) -> tuple:
+            l, r = left_of[split], right_of[split]
+            kl, kr = key(l), key(r)
             if choice == 0:
                 a, b = f"({kl} {HASH_JOIN} {kr})", f"({kr} {HASH_JOIN} {kl})"
-                entry = (a, l, HASH_JOIN) if a < b else (b, r, HASH_JOIN)
-            elif choice == 1:
-                entry = (f"({kl} {NESTED_LOOP} {kr})", l, NESTED_LOOP)
-            else:
-                entry = (f"({kr} {NESTED_LOOP} {kl})", r, NESTED_LOOP)
-            mask = parent_of[s]
-            if w[mask] is None or entry < w[mask]:
-                w[mask] = entry
+                return (a, l, HASH_JOIN) if a < b else (b, r, HASH_JOIN)
+            if choice == 1:
+                return (f"({kl} {NESTED_LOOP} {kr})", l, NESTED_LOOP)
+            return (f"({kr} {NESTED_LOOP} {kl})", r, NESTED_LOOP)
 
-    def build(w: list, mask: int) -> PlanTree:
-        if not mask & (mask - 1):
-            return Scan(rels[mask.bit_length() - 1])
-        _, at, algo = w[mask]
-        return Join(build(w, at), build(w, mask ^ at), algo)
+        key(full)
+        return memo
 
-    full = size - 1
-    trees = {}
-    for w in win:
-        if w[full][0] not in trees:
-            trees[w[full][0]] = build(w, full)
-    return [trees[w[full][0]] for w in win]
+    joins = {}                           # one Join per sub-plan key, for all views
+
+    def build(memo: dict, mask: int) -> PlanTree:
+        if mask in scans:
+            return scans[mask]
+        k, at, algo = memo[mask]
+        node = joins.get(k)
+        if node is None:
+            node = joins[k] = Join(build(memo, at), build(memo, mask ^ at), algo)
+        return node
+
+    return [build(winners(v), full) for v in range(n_views)]
 
 
 def optimize_base(query: Query, catalog: Catalog,

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -113,6 +114,15 @@ def test_catalog_is_read_only():
     ({"A": RelStats(1, -1)}, {}),
     ({"A": RelStats(1, 1), "B": RelStats(1, 1)}, {("A", "B"): (0.0, 0.1)}),
     ({"A": RelStats(1, 1)}, {("A", "Z"): (0.1, 0.1)}),
+    # NaN fails every comparison, so a `<= 0` check let it through
+    ({"A": RelStats(math.nan, 5.0)}, {}),
+    ({"A": RelStats(5.0, math.nan)}, {}),
+    ({"A": RelStats(math.inf, 5.0)}, {}),
+    ({"A": RelStats(5.0, -math.inf)}, {}),
+    ({"A": RelStats(1, 1), "B": RelStats(1, 1)}, {("A", "B"): (math.nan, 0.1)}),
+    ({"A": RelStats(1, 1), "B": RelStats(1, 1)}, {("A", "B"): (0.1, math.nan)}),
+    ({"A": RelStats(1, 1), "B": RelStats(1, 1)}, {("A", "B"): (math.inf, 0.1)}),
+    ({"A": RelStats(1, 1), "B": RelStats(1, 1)}, {("A", "B"): (0.1, -math.inf)}),
 ])
 def test_catalog_rejects_bad_stats(relations, sels):
     with pytest.raises(ValueError):
@@ -510,8 +520,29 @@ def dp_cases(draw):
     return query, catalog, views
 
 
+TIE_RELS = ("zb", "a", "bz", "b", "az", "z", "ba", "aa")
+
+
+def all_tied(sel):
+    """8 relations with equal estimated rows, and no edges (`sel` None) or a
+    star around "zb" whose edges share one selectivity. Under the estimates
+    a subset's splits of one shape tie in cost, on and off the winning tree,
+    so plan keys pick every winner. The true rows are equal too, except
+    that "a", the lowest bit, is far larger: the true plan joins it late,
+    as a scan beside a join, where the hash join's orientation has to be
+    taken from the two keys."""
+    rows = 64.0
+    joins = () if sel is None else tuple((TIE_RELS[0], r) for r in TIE_RELS[1:])
+    catalog = Catalog({r: RelStats(rows ** 3 if r == "a" else rows, rows) for r in TIE_RELS},
+                      {edge_key(a, b): (sel, sel) for a, b in joins})
+    query = Query(TIE_RELS, joins)
+    return query, catalog, [estimate_vector(query, catalog), true_vector(query, catalog)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(dp_cases())
+@example(all_tied(None))
+@example(all_tied(1 / 64))
 def test_dp_matches_frozenset_reference(case):
     query, catalog, views = case
     for view in views:
@@ -537,6 +568,8 @@ def test_dp_matches_frozenset_reference(case):
 @example((Query(("b", "a"), (("a", "b"),)),
           Catalog({"a": RelStats(5, 3), "b": RelStats(5, 3)}, {("a", "b"): (0.5, 0.5)}),
           []), 0, 0)
+@example(all_tied(None), 8, 0)
+@example(all_tied(1 / 64), 8, 0)
 def test_candidates_match_per_view_reference(case, n_plans, seed):
     """All views solved in one DP give, view by view, the frozenset DP's plan."""
     query, catalog, _ = case
