@@ -150,7 +150,12 @@ PlanTree = Scan | Join
 
 @dataclass(frozen=True)
 class CardinalityVector:
-    """One estimate view: base rows per relation plus selectivity per edge."""
+    """One estimate view: base rows per relation plus selectivity per edge.
+
+    Relations are distinct, and each edge is an `edge_key`-form pair of
+    them. Costing pairs rows with relations and sels with edges by position
+    and reads only `edge_key`-form edges, so a misaligned or reversed entry
+    would be lost or misread without an error."""
 
     rels: tuple[str, ...]
     rows: tuple[float, ...]
@@ -158,6 +163,14 @@ class CardinalityVector:
     sels: tuple[float, ...]
 
     def __post_init__(self):
+        if len(self.rows) != len(self.rels) or len(self.sels) != len(self.edges):
+            raise ValueError("need one row count per relation and one selectivity per edge")
+        rels = set(self.rels)
+        if len(rels) != len(self.rels):
+            raise ValueError("duplicate relations in cardinality vector")
+        for a, b in self.edges:
+            if a > b or a not in rels or b not in rels:
+                raise ValueError(f"edge {(a, b)} is not an edge_key pair of the relations")
         if not all(v > 0 for v in self.rows + self.sels):
             raise ValueError("cardinality entries must be positive")
 

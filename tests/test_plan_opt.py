@@ -222,6 +222,26 @@ def test_mutation_multiplies_by_grid_factors():
     assert 100.0 * 10 == 1000.0
 
 
+@pytest.mark.parametrize("rels, rows, edges, sels", [
+    (("A", "B"), (100.0,), (("A", "B"),), (0.01,)),               # a row short
+    (("A", "B"), (100.0, 50.0), (("A", "B"),), ()),               # a sel short
+    (("A", "B"), (100.0, 50.0), (), (0.01,)),                     # a sel too many
+    (("A", "A"), (100.0, 50.0), (), ()),                          # repeated relation
+    (("A", "B"), (100.0, 50.0), (("B", "A"),), (0.01,)),          # not edge_key form
+    (("A", "B"), (100.0, 50.0), (("A", "C"),), (0.01,)),          # end outside rels
+])
+def test_cardinality_vector_rejects_malformed_views(rels, rows, edges, sels):
+    # costing reads rows and sels by position, so each of these would drop
+    # a row or a selectivity without an error: (A hash B) costs 425.0 under
+    # the well-formed view and 5375.0, the cost with no selectivity, under
+    # the short-sel and reversed-edge views
+    plan = Join(Scan("A"), Scan("B"), HASH_JOIN)
+    assert plan_cost(plan, CardinalityVector(("A", "B"), (100.0, 50.0),
+                                             (("A", "B"),), (0.01,))) == 425.0
+    with pytest.raises(ValueError):
+        CardinalityVector(rels, rows, edges, sels)
+
+
 def test_mutation_factor_frequencies_uniform():
     grid = MutationGrid()
     vec = CardinalityVector(("R",), (100.0,), (), ())

@@ -1,0 +1,84 @@
+"""The scripts under tools/: the sweep driver and the BENCH file comparison."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def load_tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_compare = load_tool("bench_compare")
+bench_matrix = load_tool("bench_matrix")
+
+
+def bench(**workloads) -> dict:
+    """A minimal BENCH dict from `workload={metric: (median, better, bound)}`."""
+    return {"end_to_end": {
+        name: {"metrics": {metric: {"change_median": median, "better": better, "bound": bound}
+                           for metric, (median, better, bound) in metrics.items()}}
+        for name, metrics in workloads.items()}}
+
+
+def test_compare_lists_metrics_moved_worse_beyond_bound():
+    # 4.0 -> 5.0 and 4.0 -> 3.0 are moves of exactly 0.25, exact in binary
+    old = bench(w={"lat_up": (4.0, "lower", 0.25), "lat_at_bound": (4.0, "lower", 0.25),
+                   "lat_down": (4.0, "lower", 0.25), "tput_down": (4.0, "higher", 0.25),
+                   "tput_at_bound": (4.0, "higher", 0.25), "tput_up": (4.0, "higher", 0.25)})
+    new = bench(w={"lat_up": (5.5, "lower", 0.25), "lat_at_bound": (5.0, "lower", 0.25),
+                   "lat_down": (1.0, "lower", 0.25), "tput_down": (2.5, "higher", 0.25),
+                   "tput_at_bound": (3.0, "higher", 0.25), "tput_up": (9.0, "higher", 0.25)})
+    out = bench_compare.compare(old, new)
+    assert out["worse_beyond_bound"] == ["w.lat_up", "w.tput_down"]
+    assert out["workloads"]["w"]["lat_up"] == {"old": 4.0, "new": 5.5, "ratio": 1.375,
+                                               "better": "lower", "bound": 0.25}
+    assert out["workloads"]["w"]["tput_at_bound"]["ratio"] == 0.75
+
+
+def test_compare_skips_metrics_and_workloads_missing_from_old():
+    old = bench(w={"lat": (4.0, "lower", 0.25), "gone": (1.0, "lower", 0.25)})
+    new = bench(w={"lat": (4.0, "lower", 0.25), "added": (99.0, "lower", 0.25)},
+                fresh={"lat": (99.0, "lower", 0.25)})
+    out = bench_compare.compare(old, new)
+    assert out == {"workloads": {"w": {"lat": {"old": 4.0, "new": 4.0, "ratio": 1.0,
+                                               "better": "lower", "bound": 0.25}}},
+                   "worse_beyond_bound": []}
+
+
+def test_sweep_driver_runs_dp_and_engine_sections(capsys):
+    bench_matrix.main(["dp", "engine", "--seed", "0", "--repeats", "1"])
+    out = json.loads(capsys.readouterr().out)
+    assert list(out) == ["dp", "engine"]
+
+    dp = out["dp"]
+    assert (dp["seed"], dp["repeats"], dp["n_plans"]) == (0, 1, 8)
+    assert list(dp["relations"]) == [str(n) for n in range(2, 9)]
+    for row in dp["relations"].values():
+        assert list(row) == ["median_best_ms", "queries", "mean_candidates"]
+        assert row["queries"] == 6 and row["median_best_ms"] > 0
+        assert 1 <= row["mean_candidates"] <= 1 + dp["n_plans"]
+
+    grid = out["engine"]["key_spaces"]
+    assert out["engine"]["repeats"] == 1
+    assert list(grid) == ["6", "24", "2000"]
+    for row in grid.values():
+        assert list(row) == ["1", "4", "16"]
+        for cell in row.values():
+            assert list(cell) == ["ops", "committed", "aborted", "ms", "ops_per_s"]
+            assert cell["ops"] > 0 and cell["committed"] > 0 and cell["ms"] > 0
+
+
+@pytest.mark.parametrize("argv", [["bogus"], ["dp", "--repeats", "0"]])
+def test_sweep_driver_rejects_bad_arguments(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        bench_matrix.main(argv)
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().out == ""
