@@ -327,12 +327,15 @@ def _check_optd(params: dict) -> None:
     _require(len(set(rels)) == len(rels), "optd.query.relations must not repeat a name")
     for join in params["query"]["joins"]:
         _require(set(join) <= set(rels), f"join {join} must name two query relations")
+        _require(join[0] != join[1], f"join {join} must not join a relation to itself")
     crels = params["catalog"]["relations"]
     for rel in rels:
         _require(rel in crels, f"query relation {rel!r} missing from catalog")
     for entry in params["catalog"]["selectivities"]:
-        _require(set(entry["relations"]) <= set(crels),
-                 f"selectivity {entry['relations']} names a relation missing from catalog")
+        pair = entry["relations"]
+        _require(set(pair) <= set(crels),
+                 f"selectivity {pair} names a relation missing from catalog")
+        _require(pair[0] != pair[1], f"selectivity {pair} must not join a relation to itself")
 
 
 def _check_gate(params: dict) -> None:

@@ -4,15 +4,16 @@ A toy cost-based optimizer enumerates bushy join trees by dynamic programming
 over relation subsets, each a bitmask over the sorted relation names (bit i
 is the i-th name). Instead of hint sets, plan diversity comes from solving
 that optimizer under multiplicatively perturbed cardinality estimates; the
-unmutated base plan is always kept. All estimate views of a query are
-solved together, in one DP batched by subset size: numpy costs every split
-of every subset of a size under every view and marks the join choices that
+unmutated base plan is always kept. A query's views are the rows of one
+float array, laid out as the base estimate's values, and are solved
+together in one DP batched by subset size: numpy costs every split of
+every subset of a size under every view and marks the join choices that
 reach each subset's minimum. Python then builds plan keys lazily, top-down
 from the full relation set, only for the subsets on each view's winning
-tree and the sides of exact ties. One view is the same DP with one row. An
-upper-confidence bandit then picks among the candidates per query template
-and learns from observed latencies, which depend only on true
-cardinalities, never on the estimates.
+tree and the sides of exact ties, and hands each key to its `Join`. One
+view is the same DP with one row. An upper-confidence bandit then picks
+among the candidates per query template and learns from observed
+latencies, which depend only on true cardinalities, never on the estimates.
 
 Cost model per node (cards taken from whichever estimate view is in force):
 scan costs its row count; a hash join costs 1.5 * (left + right) + output,
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
@@ -79,6 +79,8 @@ class Catalog:
             a, b = pair
             if a not in relations or b not in relations:
                 raise ValueError(f"selectivity references unknown relation {pair}")
+            if a == b:
+                raise ValueError(f"selectivity {pair} joins a relation to itself")
             sels[edge_key(a, b)] = (float(true_sel), float(est_sel))
         object.__setattr__(self, "relations", MappingProxyType(dict(relations)))
         object.__setattr__(self, "selectivities", MappingProxyType(sels))
@@ -98,6 +100,8 @@ class Query:
         for a, b in self.joins:
             if a not in self.relations or b not in self.relations:
                 raise ValueError(f"join ({a}, {b}) references non-query relation")
+            if a == b:
+                raise ValueError(f"join ({a}, {b}) joins a relation to itself")
 
     @property
     def template_id(self) -> str:
@@ -126,7 +130,8 @@ class Join:
     left: "Scan | Join"
     right: "Scan | Join"
     algo: str
-    # derived once at construction; equality, hash and repr ignore them
+    # derived once at construction, or the key handed over by `_optimize`
+    # through `_keyed`; equality, hash and repr ignore them
     _key: str = field(init=False, compare=False, repr=False)
     _leaves: frozenset = field(init=False, compare=False, repr=False)
     # true cost per catalog, as on `Scan`
@@ -137,6 +142,20 @@ class Join:
         object.__setattr__(self, "_key",
                            f"({self.left.key()} {self.algo} {self.right.key()})")
         object.__setattr__(self, "_leaves", self.left.leaves() | self.right.leaves())
+
+    @classmethod
+    def _keyed(cls, left: "Scan | Join", right: "Scan | Join", algo: str,
+               key: str) -> "Join":
+        """`Join(left, right, algo)`, given the key `__post_init__` would
+        format. The fields are set in the constructor's order, so attribute
+        reads are as fast as on a constructed node (checked by
+        `test_every_node_has_its_own_key_and_leaves`)."""
+        node = cls.__new__(cls)
+        for name, value in (("left", left), ("right", right), ("algo", algo),
+                            ("_true_costs", {}), ("_key", key),
+                            ("_leaves", left.leaves() | right.leaves())):
+            object.__setattr__(node, name, value)
+        return node
 
     def key(self) -> str:
         return self._key
@@ -208,44 +227,38 @@ class MutationGrid:
             raise ValueError("factor grid must be positive and contain 1")
 
 
-def mutate_cards(cards: CardinalityVector, grid: MutationGrid, gen) -> CardinalityVector:
-    """Multiply every entry by an independent uniform draw from the grid."""
-    values = cards.values()
-    factors = [grid.factors[int(i)] for i in
-               gen.integers(0, len(grid.factors), size=len(values))]
-    mutated = [v * f for v, f in zip(values, factors)]
-    n = len(cards.rows)
-    return CardinalityVector(cards.rels, tuple(mutated[:n]),
-                             cards.edges, tuple(mutated[n:]))
+def mutate_views(cards: CardinalityVector, grid: MutationGrid, n_views: int,
+                 gen) -> np.ndarray:
+    """`n_views` rows of `cards.values()`, each entry times an independent
+    uniform draw from the grid. The one draw takes the generator's stream
+    as one draw per view would (`test_one_draw_matches_per_view_draws`)."""
+    values = np.array(cards.values(), dtype=float)
+    draws = gen.integers(0, len(grid.factors), size=(n_views, len(values)))
+    return values * np.array(grid.factors, dtype=float)[draws]
 
 
 # -- costing ---------------------------------------------------------------
 
-def _view_factors(rels: list[str], views: Sequence[CardinalityVector]):
-    """The card factors of the sorted `rels` under each view. A factor is a
-    bitmask and a value per view: each relation's bit and rows, in
-    sorted-relation order, then each `edge_key`-form edge among `rels` of
-    any view, its two bits and sel, in sorted-edge order, 1.0 where a view
-    lacks the edge. A repeated edge keeps its first sel. Returns the bit per
-    relation, the factor masks (factors,) and values (views, factors)."""
+def _view_factors(rels: list[str], view: CardinalityVector):
+    """The card factors of the sorted `rels` under `view` and under every
+    view that shares its relations and edges. A factor is a bitmask and a
+    column of `view.values()`: each relation's bit and row, in
+    sorted-relation order, then each `edge_key`-form edge among `rels`, its
+    two bits and sel, in sorted-edge order. A repeated edge keeps its first
+    sel. Returns the bit per relation, the factor masks and their columns."""
     bits = {rel: 1 << i for i, rel in enumerate(rels)}
-    values, sels = [], []
-    for view in views:
-        rows_of = dict(zip(view.rels, view.rows))
-        if not rows_of.keys() >= bits.keys():
-            missing = [rel for rel in rels if rel not in rows_of]
-            raise ValueError(f"view has no rows for {missing}")
-        values.append([rows_of[rel] for rel in rels])
-        own = {}
-        for (a, b), sel in zip(view.edges, view.sels):
-            if a < b and a in bits and b in bits:
-                own.setdefault((a, b), sel)
-        sels.append(own)
-    edges = sorted(set().union(*sels))
-    for row, own in zip(values, sels):
-        row += [own.get(e, 1.0) for e in edges]
+    col = {rel: i for i, rel in enumerate(view.rels)}
+    if not col.keys() >= bits.keys():
+        missing = [rel for rel in rels if rel not in col]
+        raise ValueError(f"view has no rows for {missing}")
+    first = {}
+    for j, (a, b) in enumerate(view.edges, start=len(view.rels)):
+        if a < b and a in bits and b in bits:
+            first.setdefault((a, b), j)
+    edges = sorted(first)
     masks = list(bits.values()) + [bits[a] | bits[b] for a, b in edges]
-    return bits, np.array(masks), np.array(values, dtype=float)
+    cols = [col[rel] for rel in rels] + [first[edge] for edge in edges]
+    return bits, np.array(masks), cols
 
 
 def _cards(subsets: np.ndarray, factor_masks: np.ndarray,
@@ -264,7 +277,8 @@ def _cards(subsets: np.ndarray, factor_masks: np.ndarray,
 def plan_cost(plan: PlanTree, view: CardinalityVector) -> float:
     """Sum of node costs, each node's card taken by `_cards` over the plan's
     leaves."""
-    bits, factor_masks, values = _view_factors(sorted(plan.leaves()), [view])
+    bits, factor_masks, cols = _view_factors(sorted(plan.leaves()), view)
+    values = np.array([view.values()], dtype=float)[:, cols]
     nodes, masks = [], []          # post-order: children before their join
 
     def collect(node) -> int:
@@ -370,8 +384,9 @@ def _levels(n: int) -> tuple:
     return levels, frozen(starts + [len(parent)]), tuple(pos), tuple(left), tuple(right)
 
 
-def _optimize(query: Query, views: Sequence[CardinalityVector]) -> list[PlanTree]:
-    """The best plan of `query` under each view, solved together.
+def _optimize(query: Query, view: CardinalityVector, values: np.ndarray) -> list[PlanTree]:
+    """The best plan of `query` under each view, solved together: the rows
+    of `values`, laid out as `view.values()`, with its relations and edges.
 
     One DP over relation subsets, as bitmasks over the sorted relations,
     for all views at once, level by level in subset size so that every
@@ -386,14 +401,14 @@ def _optimize(query: Query, views: Sequence[CardinalityVector]) -> list[PlanTree
     same both ways round); a subset with several builds each tied pair's key
     and keeps the least. So only the subsets on a winning tree, and the
     sides of exact ties, ever get a key. The views share one `Join` per
-    distinct sub-plan key."""
+    distinct sub-plan key, built with that key."""
     if len(query.relations) > 8:
         raise ValueError("queries beyond 8 relations are out of scope")
     rels = sorted(query.relations)
     if not rels:
         raise ValueError("empty query")
-    _, factor_masks, values = _view_factors(rels, views)
-    card = _cards(np.arange(1 << len(rels)), factor_masks, values)
+    _, factor_masks, cols = _view_factors(rels, view)
+    card = _cards(np.arange(1 << len(rels)), factor_masks, values[:, cols])
     cost = card.copy()                   # a single relation costs its scan
     n_views, size = card.shape
     levels, runs, pos, left_of, right_of = _levels(len(rels))
@@ -473,7 +488,7 @@ def _optimize(query: Query, views: Sequence[CardinalityVector]) -> list[PlanTree
         k, at, algo = memo[mask]
         node = joins.get(k)
         if node is None:
-            node = joins[k] = Join(build(memo, at), build(memo, mask ^ at), algo)
+            node = joins[k] = Join._keyed(build(memo, at), build(memo, mask ^ at), algo, k)
         return node
 
     return [build(winners(v), full) for v in range(n_views)]
@@ -491,7 +506,7 @@ def optimize_base(query: Query, catalog: Catalog,
     most 8 relations."""
     if view is None:
         view = estimate_vector(query, catalog)
-    return _optimize(query, [view])[0]
+    return _optimize(query, view, np.array([view.values()], dtype=float))[0]
 
 
 def gen_candidates(query: Query, catalog: Catalog, n_plans: int,
@@ -499,15 +514,15 @@ def gen_candidates(query: Query, catalog: Catalog, n_plans: int,
                    seed: int = 0) -> list[PlanTree]:
     """Base plan plus up to n_plans de-duplicated mutation-derived plans.
 
-    Every mutated view is drawn first, in order, then all views, the base
-    estimate first, are solved in one DP."""
+    The views, the base estimate and then the mutated ones drawn in one
+    call, are the rows of one array, solved in one DP."""
     if n_plans < 0:
         raise ValueError("n_plans must be >= 0")
     gen = rnglib.derive(seed, "plan-mutate")
     base_view = estimate_vector(query, catalog)
-    views = [base_view] + [mutate_cards(base_view, grid, gen) for _ in range(n_plans)]
+    values = np.vstack([base_view.values(), mutate_views(base_view, grid, n_plans, gen)])
     plans, seen = [], set()
-    for plan in _optimize(query, views):
+    for plan in _optimize(query, base_view, values):
         if plan.key() not in seen:
             seen.add(plan.key())
             plans.append(plan)

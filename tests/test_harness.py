@@ -333,6 +333,16 @@ NULL_SELECTIVITIES = """optd:
     selectivities: null
 """
 
+SELF_JOIN_SELECTIVITY = """optd:
+  catalog:
+    relations:
+      A: {true_rows: 1.0, est_rows: 1.0}
+      B: {true_rows: 1.0, est_rows: 1.0}
+      C: {true_rows: 1.0, est_rows: 1.0}
+      D: {true_rows: 1.0, est_rows: 1.0}
+    selectivities: [{relations: [C, C], true: 0.5, est: 0.5}]
+"""
+
 # (arguments, config file text or None); {tmp} is the test's directory
 CONFIG_ERRORS = {
     "missing net": (["gate", "--net", "{tmp}/none.npz"], None),
@@ -346,6 +356,8 @@ CONFIG_ERRORS = {
     "unparsable predicate": (["gate", "--predicate", "age = 24 = 30"], None),
     "null joins": (["optd"], "optd: {query: {relations: [A, B], joins: null}}"),
     "null selectivities": (["optd"], NULL_SELECTIVITIES),
+    "self-join": (["optd"], "optd: {query: {relations: [A, B], joins: [[A, B], [B, B]]}}"),
+    "self-join selectivity": (["optd"], SELF_JOIN_SELECTIVITY),
     "negative hidden_dim": (["gate"], "gate: {hidden_dim: -1}"),
     "negative mutate_cells": (["cc-sim"], "cc_sim: {mutate_cells: -3}"),
     "removed select.workers": (["select"], "select: {workers: 2}"),

@@ -5,6 +5,7 @@ import sys
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -26,7 +27,7 @@ from frpkernel.plan_opt import (
     estimate_vector,
     feedback,
     gen_candidates,
-    mutate_cards,
+    mutate_views,
     optimize_base,
     plan_cost,
     select_plan,
@@ -203,11 +204,23 @@ def test_dp_under_true_cards_matches_exhaustive_true_optimum():
 
 # -- mutation -----------------------------------------------------------------
 
+def ref_mutate_cards(cards: CardinalityVector, grid: MutationGrid, gen) -> CardinalityVector:
+    """The per-view mutation that `mutate_views` replaced, kept verbatim:
+    multiply every entry by an independent uniform draw from the grid."""
+    values = cards.values()
+    factors = [grid.factors[int(i)] for i in
+               gen.integers(0, len(grid.factors), size=len(values))]
+    mutated = [v * f for v, f in zip(values, factors)]
+    n = len(cards.rows)
+    return CardinalityVector(cards.rels, tuple(mutated[:n]),
+                             cards.edges, tuple(mutated[n:]))
+
+
 def test_identity_grid_is_identity():
     query = chain_query()
     cards = estimate_vector(query, chain_catalog())
     gen = rnglib.derive(0, "m")
-    assert mutate_cards(cards, MutationGrid((1.0,)), gen) == cards
+    assert mutate_views(cards, MutationGrid((1.0,)), 3, gen).tolist() == [list(cards.values())] * 3
 
 
 def test_mutation_multiplies_by_grid_factors():
@@ -215,8 +228,8 @@ def test_mutation_multiplies_by_grid_factors():
     cards = estimate_vector(query, chain_catalog())
     grid = MutationGrid()
     gen = rnglib.derive(1, "m")
-    mutated = mutate_cards(cards, grid, gen)
-    for before, after in zip(cards.values(), mutated.values()):
+    (mutated,) = mutate_views(cards, grid, 1, gen).tolist()
+    for before, after in zip(cards.values(), mutated):
         assert any(after == pytest.approx(before * f) for f in grid.factors)
     # the documented example: a 100-row entry scaled by 10 reads 1000
     assert 100.0 * 10 == 1000.0
@@ -248,9 +261,8 @@ def test_mutation_factor_frequencies_uniform():
     gen = rnglib.derive(2, "m")
     counts = {f: 0 for f in grid.factors}
     trials = 10_000
-    for _ in range(trials):
-        out = mutate_cards(vec, grid, gen)
-        factor = out.rows[0] / 100.0
+    for (row,) in mutate_views(vec, grid, trials, gen).tolist():
+        factor = row / 100.0
         counts[min(grid.factors, key=lambda f: abs(f - factor))] += 1
     expected = trials / len(grid.factors)
     sigma = (trials * 0.2 * 0.8) ** 0.5
@@ -261,6 +273,31 @@ def test_mutation_factor_frequencies_uniform():
 def test_grid_requires_identity_factor():
     with pytest.raises(ValueError):
         MutationGrid((0.5, 2.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(0.01, 100.0), max_size=8), st.integers(0, 8),
+       st.lists(st.floats(1e-6, 1e12), min_size=1, max_size=36),
+       st.integers(0, 12), st.integers(0, 2 ** 64))
+@example([], 0, [100.0] * 8, 12, 0)
+@example([0.1, 0.5, 2.0, 10.0], 2, [3.0] * 19, 8, 5)
+def test_one_draw_matches_per_view_draws(others, at, values, n_views, seed):
+    """One `mutate_views` draw of every view yields the views, bit for bit,
+    and leaves the generator where `n_views` successive per-view draws do."""
+    factors = list(others)
+    factors.insert(at % (len(factors) + 1), 1.0)
+    grid = MutationGrid(tuple(factors))
+    cards = CardinalityVector(tuple(f"r{i}" for i in range(len(values))), tuple(values), (), ())
+    one, each = rnglib.derive(seed, "plan-mutate"), rnglib.derive(seed, "plan-mutate")
+    views = mutate_views(cards, grid, n_views, one)
+    expected = np.array([ref_mutate_cards(cards, grid, each).values()
+                         for _ in range(n_views)], dtype=float).reshape(n_views, len(values))
+    assert views.shape == expected.shape and views.dtype == expected.dtype
+    assert views.tobytes() == expected.tobytes()
+    assert one.bit_generator.state == each.bit_generator.state
+    assert one.integers(0, len(factors), size=3).tolist() == \
+        each.integers(0, len(factors), size=3).tolist()
+    assert one.random() == each.random()
 
 
 # -- candidate generation --------------------------------------------------------
@@ -407,6 +444,19 @@ def test_query_template_identity():
     assert q1.template_id != q3.template_id
 
 
+def test_query_rejects_self_join():
+    # `_view_factors` reads only edges between two relations, so a self-join
+    # would be costed as if it were absent
+    with pytest.raises(ValueError):
+        Query(("A", "B"), (("A", "B"), ("A", "A")))
+
+
+def test_catalog_rejects_self_join_selectivity():
+    with pytest.raises(ValueError):
+        Catalog({"A": RelStats(10, 10), "B": RelStats(20, 20)},
+                {("A", "B"): (0.01, 0.01), ("A", "A"): (0.01, 0.01)})
+
+
 def test_queries_beyond_eight_relations_rejected():
     rels = tuple(f"R{i}" for i in range(9))
     catalog = Catalog({r: RelStats(10, 10) for r in rels}, {})
@@ -536,7 +586,7 @@ def dp_cases(draw):
     base = estimate_vector(query, catalog)
     gen = rnglib.derive(draw(st.integers(0, 2 ** 32)), "dp-oracle")
     views = [base, true_vector(query, catalog)]
-    views += [mutate_cards(base, MutationGrid(), gen) for _ in range(2)]
+    views += [ref_mutate_cards(base, MutationGrid(), gen) for _ in range(2)]
     return query, catalog, views
 
 
@@ -595,11 +645,38 @@ def test_candidates_match_per_view_reference(case, n_plans, seed):
     query, catalog, _ = case
     gen = rnglib.derive(seed, "plan-mutate")
     base = estimate_vector(query, catalog)
-    views = [base] + [mutate_cards(base, MutationGrid(), gen) for _ in range(n_plans)]
+    views = [base] + [ref_mutate_cards(base, MutationGrid(), gen) for _ in range(n_plans)]
     expected = list(dict.fromkeys(ref_optimize(query, view) for view in views))
     plans = gen_candidates(query, catalog, n_plans, seed=seed)
     assert [plan.key() for plan in plans] == expected
     assert [plan.key() for plan in plans] == [ref_key(plan) for plan in plans]
+
+
+def ref_nodes(plan):
+    yield plan
+    if isinstance(plan, Join):
+        yield from ref_nodes(plan.left)
+        yield from ref_nodes(plan.right)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dp_cases(), st.integers(0, 8), st.integers(0, 2 ** 32))
+@example(all_tied(None), 8, 0)
+@example(all_tied(1 / 64), 8, 0)
+def test_every_node_has_its_own_key_and_leaves(case, n_plans, seed):
+    """The DP hands each `Join` the key it built; every node of every tree,
+    not only the root, must carry the key and leaves its children give, and
+    the fields of a `Join` built by its constructor, set in the same order
+    (a node whose fields were set in another order reads them slower)."""
+    query, catalog, views = case
+    plans = gen_candidates(query, catalog, n_plans, seed=seed)
+    plans += [optimize_base(query, catalog, view) for view in views]
+    for plan in plans:
+        for node in ref_nodes(plan):
+            assert node.key() == ref_key(node)
+            assert node.leaves() == ref_leaves(node)
+            if isinstance(node, Join):
+                assert list(vars(node)) == list(vars(Join(node.left, node.right, node.algo)))
 
 
 def test_join_cache_ignored_by_eq_hash_repr():
