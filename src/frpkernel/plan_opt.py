@@ -171,10 +171,10 @@ PlanTree = Scan | Join
 class CardinalityVector:
     """One estimate view: base rows per relation plus selectivity per edge.
 
-    Relations are distinct, and each edge is an `edge_key`-form pair of
-    them. Costing pairs rows with relations and sels with edges by position
-    and reads only `edge_key`-form edges, so a misaligned or reversed entry
-    would be lost or misread without an error."""
+    Relations are distinct, and each edge is an `edge_key`-form pair of two
+    of them. Costing pairs rows with relations and sels with edges by
+    position and reads only `a < b` edges, so a misaligned, reversed or
+    self-loop entry would be lost or misread without an error."""
 
     rels: tuple[str, ...]
     rows: tuple[float, ...]
@@ -188,8 +188,8 @@ class CardinalityVector:
         if len(rels) != len(self.rels):
             raise ValueError("duplicate relations in cardinality vector")
         for a, b in self.edges:
-            if a > b or a not in rels or b not in rels:
-                raise ValueError(f"edge {(a, b)} is not an edge_key pair of the relations")
+            if a >= b or a not in rels or b not in rels:
+                raise ValueError(f"edge {(a, b)} is not an edge_key pair of two relations")
         if not all(v > 0 for v in self.rows + self.sels):
             raise ValueError("cardinality entries must be positive")
 

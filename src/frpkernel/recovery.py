@@ -12,9 +12,10 @@ the latest sealed log state, is flagged as tampered and can be rebuilt from
 the most recent anchor.
 
 The log keeps each record's canonical line, rendered or loaded once, for seal
-digests, `verify_log` and `to_text`, and no entry object: `records` decodes
-the lines on each read. A loaded line must match the canonical form exactly,
-so rendering the record it decodes to gives the same line back.
+digests, `verify_log` and `to_text`. Append and load build no entry or seal
+objects: each seal is kept as a row of its fields, and `records` decodes the
+lines on each read. A loaded line must match the canonical form exactly, so
+rendering the record it decodes to gives the same line back.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import attrgetter
+from operator import itemgetter
 
 from .engine import INITIAL_VALUE, Record, compute_checksum
 
@@ -145,7 +146,7 @@ class RedoLog:
         self._sealed: set[int] = set()
         self._key_redos: dict[str, list[int]] = {}
         self._key_anchors: dict[str, list[int]] = {}
-        self._seals: list = []      # every TxnSeal, in record order
+        self._seals: list = []      # each seal's TxnSeal fields as a row, in record order
         # derived by _index_seals from the first _indexed seals
         self._indexed = 0
         self._by_first: list = []   # non-empty seals by first_lsn, record order on ties
@@ -185,7 +186,7 @@ class RedoLog:
                              lsn + 1, key, new_value, mod_index, txn_id)
         return lsn
 
-    def seal_txn(self, txn_id: int) -> TxnSeal:
+    def seal_txn(self, txn_id: int) -> int:
         if txn_id not in self._txn_lsns:
             raise UnknownTxn(f"txn {txn_id} has no log entries and was never registered")
         if txn_id in self._sealed:
@@ -198,11 +199,12 @@ class RedoLog:
                 raise LogError("txn entries not contiguous; appends must be serialized")
         else:
             first = last = -1
-        digest = self._range_digest(txn_id, first, last)
-        seal = TxnSeal(len(self._lines), txn_id, first, last, digest,
-                       self._enclave.sign(digest))
-        self._add_seal(seal.line(), seal)
-        return seal
+        lsn, digest = len(self._lines), self._range_digest(txn_id, first, last)
+        signature = self._enclave.sign(digest)
+        # the line TxnSeal.line() renders
+        self._add_seal(f"S|{lsn}|{txn_id}|{first}|{last}|{digest}|{signature}",
+                       (lsn, txn_id, first, last, digest, signature))
+        return lsn
 
     def _range_digest(self, txn_id: int, first: int, last: int) -> str:
         h = hashlib.sha256(f"seal:{txn_id}".encode())
@@ -226,32 +228,30 @@ class RedoLog:
         compare."""
         seals = self._seals
         if self._indexed != len(seals):
-            self._by_first = sorted((s for s in seals if s.first_lsn >= 0),
-                                    key=attrgetter("first_lsn"))
-            self._firsts = [s.first_lsn for s in self._by_first]
-            self._reach = list(accumulate((s.last_lsn for s in self._by_first), max))
+            self._by_first = sorted((s for s in seals if s[2] >= 0), key=itemgetter(2))
+            self._firsts = [s[2] for s in self._by_first]
+            self._reach = list(accumulate((s[3] for s in self._by_first), max))
             self._indexed = len(seals)
 
-    def _verdict(self, seal: TxnSeal) -> bool:
+    def _verdict(self, seal: tuple) -> bool:
         """`_seal_ok(seal)`, computed once per seal for the log's life: a
         seal's verdict reads only the records before it, which are never
         edited, and the enclave is fixed."""
-        ok = self._verdicts.get(seal.lsn)
+        ok = self._verdicts.get(seal[0])
         if ok is None:
-            ok = self._verdicts[seal.lsn] = self._seal_ok(seal)
+            ok = self._verdicts[seal[0]] = self._seal_ok(seal)
         return ok
 
-    def _seal_ok(self, seal: TxnSeal) -> bool:
-        if seal.first_lsn < 0:
+    def _seal_ok(self, seal: tuple) -> bool:
+        lsn, txn_id, first, last, digest, signature = seal
+        if first < 0:
             # an empty range's digest binds only the txn id, not the -1/-1
-            if (seal.first_lsn, seal.last_lsn) != (-1, -1):
+            if (first, last) != (-1, -1):
                 return False
-        elif seal.last_lsn < seal.first_lsn or seal.last_lsn >= seal.lsn:
+        elif last < first or last >= lsn:
             return False    # a seal must follow its entries
-        recomputed = self._range_digest(seal.txn_id, seal.first_lsn, seal.last_lsn)
-        if recomputed != seal.digest:
-            return False
-        return self._enclave.verify(seal.digest, seal.signature)
+        return (self._range_digest(txn_id, first, last) == digest
+                and self._enclave.verify(digest, signature))
 
     # -- trusted state and repair ---------------------------------------------
 
@@ -317,13 +317,13 @@ class RedoLog:
         self._index_seals()
         firsts, reach = self._firsts, self._reach
         # reach is non-decreasing, so the seals starting at or before hi whose
-        # prefix of _by_first reaches lo form one slice of it
-        overlapping = sorted((s for s in self._by_first[bisect_left(reach, lo):
-                                                        bisect_right(firsts, hi)]
-                              if s.last_lsn >= lo), key=attrgetter("lsn"))
-        for rec in overlapping:
-            if not self._verdict(rec):
-                raise RecoveryRefused(f"seal at lsn {rec.lsn} failed verification")
+        # prefix of _by_first reaches lo form one slice of it; rows sort by lsn
+        overlapping = sorted(s for s in self._by_first[bisect_left(reach, lo):
+                                                       bisect_right(firsts, hi)]
+                             if s[3] >= lo)
+        for seal in overlapping:
+            if not self._verdict(seal):
+                raise RecoveryRefused(f"seal at lsn {seal[0]} failed verification")
         # a seal covering a touched lsn overlaps [lo, hi] and was just
         # verified, so the lsn is covered iff the seals starting by it reach it
         missing = [l for l in touched
@@ -360,19 +360,26 @@ class RedoLog:
             raise LogCorrupt("header MAC mismatch")
 
         log = cls(enclave, anchor_every=n)
+        add_redo, add_anchor, add_seal = log._add_redo, log._add_anchor, log._add_seal
         prev = None     # the fields of the line before, if it is a redo entry
-        for raw in lines[1:]:
-            tag, fields = _fields(raw)
-            if fields[0] != len(log._lines):
-                raise LogCorrupt(f"lsn gap at {fields[0]}")
-            if tag == "R":
-                log._add_redo(raw, *fields)
-            elif tag == "A":    # in the txn whose redo of the same key it follows
-                log._add_anchor(raw, *fields[:4],
-                                prev[1] if prev and prev[2] == fields[1] else None)
-            else:
-                log._add_seal(raw, TxnSeal(*fields))
-            prev = fields if tag == "R" else None
+        try:
+            for lsn, raw in enumerate(lines[1:]):
+                f = _match(raw)     # canonical, so f[0] is str(lsn) or a gap
+                if f[0] != str(lsn):
+                    _parse_record(raw)      # an overlong field is reported first
+                    raise LogCorrupt(f"lsn gap at {f[0]}")
+                tag = raw[0]
+                if tag == "R":
+                    add_redo(raw, lsn, int(f[1]), f[2], int(f[3]), int(f[4]))
+                elif tag == "A":    # in the txn whose redo of the same key it follows
+                    int(f[4])       # not indexed, but refused if overlong
+                    add_anchor(raw, lsn, f[1], int(f[2]), int(f[3]),
+                               int(prev[1]) if prev and prev[2] == f[1] else None)
+                else:
+                    add_seal(raw, (lsn, int(f[1]), int(f[2]), int(f[3]), f[4], f[5]))
+                prev = f if tag == "R" else None
+        except ValueError:      # int() refuses more than 4,300 digits
+            raise LogCorrupt(f"not an integer in record: {raw[:80]!r}") from None
         return log
 
     # -- indexers ------------------------------------------------------------
@@ -393,12 +400,12 @@ class RedoLog:
         if txn_id is not None:
             self._txn_lsns.setdefault(txn_id, []).append(lsn)
 
-    def _add_seal(self, line: str, seal: TxnSeal) -> None:
+    def _add_seal(self, line: str, seal: tuple) -> None:    # a `_seals` row
         self._lines.append(line)
         self._state.append(None)
         self._seals.append(seal)
-        self._sealed.add(seal.txn_id)
-        self._txn_lsns.setdefault(seal.txn_id, [])
+        self._sealed.add(seal[1])
+        self._txn_lsns.setdefault(seal[1], [])
 
 
 def _parse_int(text: str) -> int:
@@ -411,35 +418,32 @@ def _parse_int(text: str) -> int:
     raise LogCorrupt(f"not a canonical integer: {text[:80]!r}")
 
 
-# tag -> (fullmatch of a canonical line with that tag, its groups to the fields)
-_FORMS = {
-    "R": (re.compile(rf"R\|{_INT}\|{_INT}\|{_KEY}\|{_INT}\|{_INT}").fullmatch,
-          lambda lsn, txn, key, value, mod: (int(lsn), int(txn), key, int(value), int(mod))),
-    "A": (re.compile(rf"A\|{_INT}\|{_KEY}\|{_INT}\|{_INT}\|{_INT}").fullmatch,
-          lambda lsn, key, value, version, mod:
-          (int(lsn), key, int(value), int(version), int(mod))),
-    "S": (re.compile(rf"S\|{_INT}\|{_INT}\|{_INT}\|{_INT}\|{_HEX}\|{_HEX}").fullmatch,
-          lambda lsn, txn, first, last, digest, signature:
-          (int(lsn), int(txn), int(first), int(last), digest, signature)),
+# tag -> fullmatch of a canonical line with that tag
+_MATCHERS = {
+    "R": re.compile(rf"R\|{_INT}\|{_INT}\|{_KEY}\|{_INT}\|{_INT}").fullmatch,
+    "A": re.compile(rf"A\|{_INT}\|{_KEY}\|{_INT}\|{_INT}\|{_INT}").fullmatch,
+    "S": re.compile(rf"S\|{_INT}\|{_INT}\|{_INT}\|{_INT}\|{_HEX}\|{_HEX}").fullmatch,
 }
-_KINDS = {"R": RedoEntry, "A": AnchorEntry, "S": TxnSeal}
 
 
-def _fields(raw: str) -> tuple[str, tuple]:
-    """The tag and the fields of the record whose `line()` is exactly `raw`,
-    or LogCorrupt."""
-    tag = raw[:1]
-    match, convert = _FORMS.get(tag, (None, None))
+def _match(raw: str) -> tuple:
+    """The fields, as text, of the record whose `line()` is exactly `raw`
+    (its tag is `raw[0]`), or LogCorrupt."""
+    match = _MATCHERS.get(raw[:1])
     fields = match(raw) if match else None
     if fields is None:
         raise LogCorrupt(f"unparseable or non-canonical record: {raw!r}")
-    try:
-        return tag, convert(*fields.groups())
-    except ValueError:      # int() refuses more than 4,300 digits
-        raise LogCorrupt(f"not an integer in record: {raw[:80]!r}") from None
+    return fields.groups()
 
 
 def _parse_record(raw: str):
     """The record whose `line()` is exactly `raw`, or LogCorrupt."""
-    tag, fields = _fields(raw)
-    return _KINDS[tag](*fields)
+    f = _match(raw)
+    try:
+        if raw[0] == "R":
+            return RedoEntry(int(f[0]), int(f[1]), f[2], int(f[3]), int(f[4]))
+        if raw[0] == "A":
+            return AnchorEntry(int(f[0]), f[1], int(f[2]), int(f[3]), int(f[4]))
+        return TxnSeal(int(f[0]), int(f[1]), int(f[2]), int(f[3]), f[4], f[5])
+    except ValueError:      # int() refuses more than 4,300 digits
+        raise LogCorrupt(f"not an integer in record: {raw[:80]!r}") from None

@@ -242,12 +242,13 @@ def test_mutation_multiplies_by_grid_factors():
     (("A", "A"), (100.0, 50.0), (), ()),                          # repeated relation
     (("A", "B"), (100.0, 50.0), (("B", "A"),), (0.01,)),          # not edge_key form
     (("A", "B"), (100.0, 50.0), (("A", "C"),), (0.01,)),          # end outside rels
+    (("A", "B"), (100.0, 50.0), (("A", "A"), ("A", "B")), (0.01, 0.01)),  # self-loop
 ])
 def test_cardinality_vector_rejects_malformed_views(rels, rows, edges, sels):
     # costing reads rows and sels by position, so each of these would drop
     # a row or a selectivity without an error: (A hash B) costs 425.0 under
     # the well-formed view and 5375.0, the cost with no selectivity, under
-    # the short-sel and reversed-edge views
+    # the short-sel and reversed-edge views; a self-loop's sel is dropped
     plan = Join(Scan("A"), Scan("B"), HASH_JOIN)
     assert plan_cost(plan, CardinalityVector(("A", "B"), (100.0, 50.0),
                                              (("A", "B"),), (0.01,))) == 425.0

@@ -4,7 +4,7 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frpkernel.engine import CCAction, Engine, Record, WorkloadSpec, compute_checksum
@@ -83,7 +83,8 @@ def test_anchor_every_write_when_n_is_one():
 def test_seal_empty_txn_valid():
     log = make_log()
     log.register_txn(42)
-    seal = log.seal_txn(42)
+    lsn = log.seal_txn(42)
+    seal = log.records[lsn]
     assert (seal.first_lsn, seal.last_lsn) == (-1, -1)
     assert log.verify_log()
 
@@ -130,7 +131,8 @@ def test_distinct_txns_distinct_digests():
     # even empty-range seals differ across txns
     log.register_txn(10)
     log.register_txn(11)
-    assert log.seal_txn(10).digest != log.seal_txn(11).digest
+    first, second = log.seal_txn(10), log.seal_txn(11)
+    assert log.records[first].digest != log.records[second].digest
 
 
 def test_tampered_entry_fails_verification():
@@ -493,7 +495,7 @@ def reference_recover(log, key):
                 continue
             if rec.first_lsn < 0 or rec.last_lsn < lo or rec.first_lsn > hi:
                 continue
-            if not log._seal_ok(rec):
+            if not log._seal_ok(dataclasses.astuple(rec)):
                 raise RecoveryRefused(f"seal at lsn {rec.lsn} failed verification")
             covered.update(range(rec.first_lsn, rec.last_lsn + 1))
             verified += 1
@@ -511,7 +513,7 @@ def reference_recover(log, key):
 def reference_verify_log(log):
     """`RedoLog.verify_log()` over the whole log, as it was before the seal
     index."""
-    return all(log._seal_ok(rec) for rec in log.records
+    return all(log._seal_ok(dataclasses.astuple(rec)) for rec in log.records
                if isinstance(rec, TxnSeal))
 
 
@@ -574,8 +576,20 @@ def mutate(log, kind, at, other, fresh_txn):
         append_and_seal(log, fresh_txn, [(ORACLE_KEYS[at % 4], other % 100)])
         return log
     records = list(log.records)
-    if not records:
+    if not records or not edit_records(records, kind, at, other):
         return log
+    # a pop of any record but the last leaves a gap
+    if kind == "lsn" or (kind == "pop" and at % (len(records) + 1) < len(records)):
+        with pytest.raises(LogCorrupt, match="lsn gap"):
+            reload(log, records)
+        return log
+    return reload(log, records)
+
+
+def edit_records(records, kind, at, other):
+    """Apply one edit of `kind`, a MUTATIONS kind but "append", to the
+    non-empty list `records` of a log's records. False if there was
+    nothing to edit."""
     i, j = at % len(records), other % len(records)
     rec = records[i]
     if kind == "value":
@@ -588,7 +602,7 @@ def mutate(log, kind, at, other, fresh_txn):
     elif kind == "range":
         seals = [k for k, r in enumerate(records) if isinstance(r, TxnSeal)]
         if not seals:
-            return log
+            return False
         k = seals[at % len(seals)]
         s = records[k]
         ranges = [(s.first_lsn - 1, s.last_lsn), (s.first_lsn, s.last_lsn + 1),
@@ -605,11 +619,7 @@ def mutate(log, kind, at, other, fresh_txn):
         records[i] = dataclasses.replace(records[j], lsn=i)
     elif kind == "lsn":
         records[i] = dataclasses.replace(rec, lsn=rec.lsn + 1 + other % 3)
-    if kind == "lsn" or (kind == "pop" and i < len(records)):
-        with pytest.raises(LogCorrupt, match="lsn gap"):
-            reload(log, records)
-        return log
-    return reload(log, records)
+    return True
 
 
 @settings(max_examples=250, deadline=None)
@@ -647,8 +657,8 @@ def recovery_pass(log, verify_first):
     calls = Counter()
     seal_ok = log._seal_ok
 
-    def counting(seal):
-        calls[seal.lsn] += 1
+    def counting(seal):     # a seal row, its lsn first
+        calls[seal[0]] += 1
         return seal_ok(seal)
 
     log._seal_ok = counting
@@ -909,6 +919,134 @@ def test_overlong_integer_field_is_corrupt():
     for lines in texts:
         with pytest.raises(LogCorrupt):
             RedoLog.from_text("\n".join(lines) + "\n", log.enclave)
+
+
+# -- the loader against the field-table loader it replaced ----------------------
+
+# the canonical fields and field table the loader matched lines with
+_OLD_INT, _OLD_KEY, _OLD_HEX = "(0|-?[1-9][0-9]*)", "([^|\n]+)", "([0-9a-f]{64})"
+_OLD_FORMS = {
+    "R": (re.compile(rf"R\|{_OLD_INT}\|{_OLD_INT}\|{_OLD_KEY}\|{_OLD_INT}\|{_OLD_INT}").fullmatch,
+          lambda lsn, txn, key, value, mod: (int(lsn), int(txn), key, int(value), int(mod))),
+    "A": (re.compile(rf"A\|{_OLD_INT}\|{_OLD_KEY}\|{_OLD_INT}\|{_OLD_INT}\|{_OLD_INT}").fullmatch,
+          lambda lsn, key, value, version, mod:
+          (int(lsn), key, int(value), int(version), int(mod))),
+    "S": (re.compile(rf"S\|{_OLD_INT}\|{_OLD_INT}\|{_OLD_INT}\|{_OLD_INT}\|{_OLD_HEX}\|{_OLD_HEX}").fullmatch,
+          lambda lsn, txn, first, last, digest, signature:
+          (int(lsn), int(txn), int(first), int(last), digest, signature)),
+}
+
+
+def _old_fields(raw: str) -> tuple[str, tuple]:
+    tag = raw[:1]
+    match, convert = _OLD_FORMS.get(tag, (None, None))
+    fields = match(raw) if match else None
+    if fields is None:
+        raise LogCorrupt(f"unparseable or non-canonical record: {raw!r}")
+    try:
+        return tag, convert(*fields.groups())
+    except ValueError:      # int() refuses more than 4,300 digits
+        raise LogCorrupt(f"not an integer in record: {raw[:80]!r}") from None
+
+
+class OldLoad:
+    """The record loop of `RedoLog.from_text` and the indexers it called,
+    as they were when each seal was a `TxnSeal`: the lines, maps and seals
+    it leaves from a log's record lines."""
+
+    def __init__(self, record_lines):
+        self._lines, self._state, self._seals = [], [], []
+        self._latest, self._txn_lsns, self._key_redos, self._key_anchors = {}, {}, {}, {}
+        self._sealed = set()
+        prev = None     # the fields of the line before, if it is a redo entry
+        for raw in record_lines:
+            tag, fields = _old_fields(raw)
+            if fields[0] != len(self._lines):
+                raise LogCorrupt(f"lsn gap at {fields[0]}")
+            if tag == "R":
+                self._add_redo(raw, *fields)
+            elif tag == "A":    # in the txn whose redo of the same key it follows
+                self._add_anchor(raw, *fields[:4],
+                                 prev[1] if prev and prev[2] == fields[1] else None)
+            else:
+                self._add_seal(raw, TxnSeal(*fields))
+            prev = fields if tag == "R" else None
+
+    def _add_redo(self, line, lsn, txn_id, key, value, mod_index):
+        self._lines.append(line)
+        self._state.append(state := (value, mod_index))
+        self._latest[key] = state
+        self._txn_lsns.setdefault(txn_id, []).append(lsn)
+        self._key_redos.setdefault(key, []).append(lsn)
+
+    def _add_anchor(self, line, lsn, key, value, version, txn_id):
+        self._lines.append(line)
+        self._state.append((value, version))
+        self._key_anchors.setdefault(key, []).append(lsn)
+        if txn_id is not None:
+            self._txn_lsns.setdefault(txn_id, []).append(lsn)
+
+    def _add_seal(self, line, seal):
+        self._lines.append(line)
+        self._state.append(None)
+        self._seals.append(seal)
+        self._sealed.add(seal.txn_id)
+        self._txn_lsns.setdefault(seal.txn_id, [])
+
+
+LOADED = ("_lines", "_state", "_latest", "_txn_lsns", "_sealed", "_key_redos",
+          "_key_anchors")
+
+
+def loaded_state(log, seal_fields):
+    return {**{name: getattr(log, name) for name in LOADED},
+            "seals": [seal_fields(seal) for seal in log._seals]}
+
+
+# a line with both an lsn gap and an overlong field: the field is reported
+@example(n=1, events=[("txn", [("a", 1)])], seal_rest=True, edits=[],
+         spliced=(0, False, "R|7|1|x|5|1", 4))
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 4]),
+    events=EVENTS,
+    seal_rest=st.booleans(),
+    edits=st.lists(st.tuples(st.sampled_from(sorted(set(MUTATIONS))),
+                             st.integers(0, 10**6), st.integers(0, 10**6)),
+                   max_size=2),
+    spliced=st.none() | st.tuples(st.integers(0, 10**6), st.booleans(),
+                                  edited_record_lines(), st.none() | st.integers(0, 6)),
+)
+def test_loader_matches_field_table_loader(n, events, seal_rest, edits, spliced):
+    """`from_text` leaves the same lines, maps and seal fields as the
+    field-table loader it replaced, or fails with the same exception and
+    message, on interleaved logs after every kind of record edit and with
+    an edited line spliced in at a drawn lsn (perhaps given that lsn, and
+    perhaps with a field of more digits than int() converts)."""
+    log, txn_id = interleaved_log(n, events, seal_rest)
+    records = list(log.records)
+    for kind, at, other in edits:
+        if kind == "append":
+            txn_id += 1
+            append_and_seal(log, txn_id, [(ORACLE_KEYS[at % 4], other % 100)])
+            records = list(log.records)
+        elif records:
+            edit_records(records, kind, at, other)
+    lines = [rec.line() for rec in records]
+    if spliced is not None:
+        where, own_lsn, raw, overlong = spliced
+        where %= len(lines) + 1
+        parts = raw.split("|")
+        if own_lsn and len(parts) > 1:
+            parts[1] = str(where)
+        if overlong is not None:
+            parts[overlong % len(parts)] = "9" * 4301
+        lines[where:where + 1] = ["|".join(parts)]
+    header = log.to_text().split("\n", 1)[0]
+    text = "\n".join([header] + lines) + "\n"
+    assert outcome(lambda: loaded_state(RedoLog.from_text(text, log.enclave), tuple)) \
+        == outcome(lambda: loaded_state(OldLoad(text[:-1].split("\n")[1:]),
+                                        dataclasses.astuple))
 
 
 # -- the kept lines against the records they render ----------------------------
