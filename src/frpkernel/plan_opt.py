@@ -330,11 +330,16 @@ def _true_view(leaves: frozenset, catalog: Catalog) -> CardinalityVector:
 
 def simulate_latency(plan: PlanTree, catalog: Catalog, gen=None,
                      noise_frac: float = 0.05) -> float:
-    """Observed latency: true cost plus relative noise."""
+    """Observed latency: true cost plus relative noise, uniform in
+    [-noise_frac, noise_frac). The noise is `2.0 * gen.random() - 1.0`, the
+    value `gen.uniform(-1.0, 1.0)` computes as `-1.0 + 2.0 * u` from the same
+    one draw, bit for bit (the doubling is exact), but through numpy's scalar
+    path instead of its broadcasting one; the generator ends in the same
+    state."""
     base = true_cost(plan, catalog)
     if gen is None or noise_frac <= 0:
         return base
-    return base * (1.0 + noise_frac * float(gen.uniform(-1.0, 1.0)))
+    return base * (1.0 + noise_frac * (2.0 * gen.random() - 1.0))
 
 
 # -- optimization -------------------------------------------------------------

@@ -4,7 +4,10 @@ Every committed write appends one redo entry (delta); every n-th modification
 of a key additionally appends an anchor entry carrying the key's full content,
 so repair never replays more than n deltas. Each transaction's entries are
 hashed and the digest is MAC-signed by a key-isolated enclave stand-in, which
-makes both the entries and the seals tamper-evident.
+makes both the entries and the seals tamper-evident. The MAC is HMAC-SHA256,
+computed from two SHA-256 states keyed once per enclave with the inner and
+outer pads of RFC 2104, so a seal or a seal check copies those states instead
+of re-keying; a seal's digest is one SHA-256 call over its txn id and lines.
 
 The log doubles as the trusted view of "what the store should contain": a
 stored record whose checksum fails, or whose (value, version) disagrees with
@@ -24,6 +27,7 @@ import hashlib
 import hmac
 import re
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
@@ -57,22 +61,36 @@ class UnknownTxn(LogError):
     pass
 
 
+# byte -> byte XOR 0x36 / 0x5C, for bytes.translate
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
+
+
 class EnclaveSim:
     """Key-isolated signer standing in for enclave-shielded computation.
 
     The MAC key lives only inside this object and never reaches any
     serialized output; the log header carries a MAC *over* the header, not
     the key.
+
+    `sign` is HMAC-SHA256 (RFC 2104) built from the two keyed SHA-256 states,
+    so a signature costs two state copies and no re-keying: the inner state
+    has hashed the key XOR 0x36 (`ipad`), the outer one the key XOR 0x5C
+    (`opad`), each zero-padded to SHA-256's 64-byte block.
     """
 
     def __init__(self, seed: int):
         self._mac_key = hashlib.sha256(f"enclave:{seed}".encode()).digest()
-        self._mac = hmac.new(self._mac_key, digestmod=hashlib.sha256)
+        block = self._mac_key.ljust(64, b"\0")   # 32 bytes: no pre-hash needed
+        self._inner = hashlib.sha256(block.translate(_IPAD))
+        self._outer = hashlib.sha256(block.translate(_OPAD))
 
     def sign(self, digest: str) -> str:
-        mac = self._mac.copy()      # the keyed state, without re-keying
-        mac.update(digest.encode())
-        return mac.hexdigest()
+        inner = self._inner.copy()
+        inner.update(digest.encode())
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.hexdigest()
 
     def verify(self, digest: str, signature: str) -> bool:
         return hmac.compare_digest(self.sign(digest), signature)
@@ -142,10 +160,12 @@ class RedoLog:
         # derived from each record by its indexer, on append and on load
         self._state: list = []      # lsn -> (value, version) of an entry, None for a seal
         self._latest: dict[str, tuple[int, int]] = {}   # key -> (value, version)
-        self._txn_lsns: dict[int, list[int]] = {}
+        # the indexers append through the defaultdict; readers use .get, so a
+        # lookup of an unknown key adds nothing
+        self._txn_lsns: defaultdict[int, list[int]] = defaultdict(list)
         self._sealed: set[int] = set()
-        self._key_redos: dict[str, list[int]] = {}
-        self._key_anchors: dict[str, list[int]] = {}
+        self._key_redos: defaultdict[str, list[int]] = defaultdict(list)
+        self._key_anchors: defaultdict[str, list[int]] = defaultdict(list)
         self._seals: list = []      # each seal's TxnSeal fields as a row, in record order
         # derived by _index_seals from the first _indexed seals
         self._indexed = 0
@@ -172,7 +192,7 @@ class RedoLog:
     # -- append side --------------------------------------------------------
 
     def register_txn(self, txn_id: int) -> None:
-        self._txn_lsns.setdefault(txn_id, [])
+        self._txn_lsns[txn_id]      # the lookup adds the txn, with no entries
 
     def append_redo(self, txn_id: int, key: str, new_value: int) -> int:
         _check_key(key)
@@ -207,13 +227,14 @@ class RedoLog:
         return lsn
 
     def _range_digest(self, txn_id: int, first: int, last: int) -> str:
-        h = hashlib.sha256(f"seal:{txn_id}".encode())
-        if first >= 0:
-            data = ("\n" + "\n".join(self._lines[first:last + 1])).encode()
-            h.update(data)
-            self._bytes_hashed += len(data) - (last + 1 - first)
+        prefix = f"seal:{txn_id}"
         self._seals_hashed += 1
-        return h.hexdigest()
+        if first < 0:
+            return hashlib.sha256(prefix.encode()).hexdigest()
+        data = (prefix + "\n" + "\n".join(self._lines[first:last + 1])).encode()
+        # the UTF-8 bytes of the lines: not the ASCII prefix or the newlines
+        self._bytes_hashed += len(data) - len(prefix) - (last + 1 - first)
+        return hashlib.sha256(data).hexdigest()
 
     # -- verification ---------------------------------------------------------
 
@@ -389,23 +410,23 @@ class RedoLog:
         self._lines.append(line)
         self._state.append(state := (value, mod_index))
         self._latest[key] = state
-        self._txn_lsns.setdefault(txn_id, []).append(lsn)
-        self._key_redos.setdefault(key, []).append(lsn)
+        self._txn_lsns[txn_id].append(lsn)
+        self._key_redos[key].append(lsn)
 
     def _add_anchor(self, line: str, lsn: int, key: str, value: int, version: int,
                     txn_id) -> None:    # the txn whose range it rides in, or None
         self._lines.append(line)
         self._state.append((value, version))
-        self._key_anchors.setdefault(key, []).append(lsn)
+        self._key_anchors[key].append(lsn)
         if txn_id is not None:
-            self._txn_lsns.setdefault(txn_id, []).append(lsn)
+            self._txn_lsns[txn_id].append(lsn)
 
     def _add_seal(self, line: str, seal: tuple) -> None:    # a `_seals` row
         self._lines.append(line)
         self._state.append(None)
         self._seals.append(seal)
         self._sealed.add(seal[1])
-        self._txn_lsns.setdefault(seal[1], [])
+        self._txn_lsns[seal[1]]     # a txn sealed with no entries is known too
 
 
 def _parse_int(text: str) -> int:

@@ -437,6 +437,36 @@ def test_simulated_latency_tracks_true_cost():
     assert abs(noisy - true_cost(slow, catalog)) <= 0.05 * true_cost(slow, catalog)
 
 
+def ref_simulate_latency(plan, catalog, gen, noise_frac):
+    """`simulate_latency` as it drew its noise before the scalar draw."""
+    base = true_cost(plan, catalog)
+    if gen is None or noise_frac <= 0:
+        return base
+    return base * (1.0 + noise_frac * float(gen.uniform(-1.0, 1.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 64),
+       st.one_of(st.just(0.0), st.floats(-2.0, 0.0), st.floats(0.0, 1.0),
+                 st.floats(1.0, 1e6)),
+       st.lists(st.booleans(), min_size=1, max_size=50))
+@example(0, 0.05, [True] * 50)
+@example(7, -0.5, [False, True])
+@example(3, 2.5, [True, False, True])
+def test_latency_draw_matches_uniform_draw(seed, noise_frac, slow_each_call):
+    """Each noisy latency equals, bit for bit, the one `gen.uniform(-1.0, 1.0)`
+    gives on a twin generator, over successive calls, and both generators end
+    in the same state."""
+    catalog, fast, slow = two_plan_setup()
+    gen, twin = rnglib.derive(seed, "noise"), rnglib.derive(seed, "noise")
+    for use_slow in slow_each_call:
+        plan = slow if use_slow else fast
+        got = simulate_latency(plan, catalog, gen, noise_frac)
+        assert got.hex() == ref_simulate_latency(plan, catalog, twin, noise_frac).hex()
+    assert gen.bit_generator.state == twin.bit_generator.state
+    assert gen.random() == twin.random()
+
+
 def test_query_template_identity():
     q1 = Query(("A", "B"), (("A", "B"),))
     q2 = Query(("B", "A"), (("B", "A"),))

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import hmac
 import re
 from collections import Counter
 
@@ -428,6 +429,24 @@ def test_enclave_key_never_reaches_serialized_output():
     text = log.to_text()
     assert enclave._mac_key.hex() not in text
     assert "key withheld" in repr(enclave)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(), st.integers(), st.binary(min_size=32, max_size=32))
+@example("", 0, bytes(32))
+@example("é键🙂" * 40, -3, bytes(range(32)))
+def test_sign_is_hmac_sha256_of_the_enclave_key(msg, seed, other):
+    """`sign` equals the standard library's HMAC-SHA256 under the enclave's
+    key, and `verify` accepts that signature and rejects every other one."""
+    enclave = EnclaveSim(seed)
+    key = hashlib.sha256(f"enclave:{seed}".encode()).digest()
+    expected = hmac.new(key, msg.encode(), hashlib.sha256).hexdigest()
+    assert enclave.sign(msg) == expected
+    assert enclave.verify(msg, expected)
+    flipped = expected[:-1] + ("0" if expected[-1] != "0" else "1")
+    assert not enclave.verify(msg, flipped)
+    if other.hex() != expected:
+        assert not enclave.verify(msg, other.hex())
 
 
 def test_append_cost_one_redo_plus_fractional_anchor():
@@ -1098,6 +1117,46 @@ def test_kept_lines_match_rendered_records(n, txns):
         cold = RedoLog.from_text(text, log.enclave)
         cold.recover(key)
         assert cold.last_bytes_scanned == overlap_line_bytes(log, key)
+
+
+def ref_range_digest(lines, txn_id, first, last):
+    """`RedoLog._range_digest` in its two-call form, and the bytes it counted
+    as hashed: the UTF-8 bytes of the lines, without the newlines."""
+    h = hashlib.sha256(f"seal:{txn_id}".encode())
+    if first < 0:
+        return h.hexdigest(), 0
+    data = ("\n" + "\n".join(lines[first:last + 1])).encode()
+    h.update(data)
+    return h.hexdigest(), len(data) - (last + 1 - first)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    txns=st.lists(st.lists(st.tuples(st.sampled_from(TEXT_KEYS),
+                                     st.integers(-10**12, 10**12)), max_size=3),
+                  min_size=1, max_size=12),
+    ranges=st.lists(st.tuples(st.integers(0, 2**40), st.integers(0, 80),
+                              st.integers(0, 8)), max_size=8),
+)
+def test_range_digest_matches_two_call_digest(n, txns, ranges):
+    """The one-call seal digest equals the constructor-plus-update digest,
+    and counts the same hashed bytes, on every seal of a generated log, its
+    empty ranges and non-ASCII keys included, and on arbitrary ranges."""
+    log = make_log(n=n)
+    for txn_id, writes in enumerate(txns, start=1):
+        append_and_seal(log, txn_id, writes)
+    lines = [rec.line() for rec in log.records]
+    cases = [(s.txn_id, s.first_lsn, s.last_lsn) for s in log.records
+             if isinstance(s, TxnSeal)]
+    cases += [(txn_id, -1, -1) for txn_id, _, _ in ranges]
+    cases += [(txn_id, first % len(lines), min(first % len(lines) + width, len(lines) - 1))
+              for txn_id, first, width in ranges]
+    for txn_id, first, last in cases:
+        hashed, scanned = log._seals_hashed, log._bytes_hashed
+        digest, size = ref_range_digest(lines, txn_id, first, last)
+        assert log._range_digest(txn_id, first, last) == digest
+        assert (log._seals_hashed - hashed, log._bytes_hashed - scanned) == (1, size)
 
 
 # -- differential oracle: the log against the calls that wrote it --------------

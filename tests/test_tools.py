@@ -76,6 +76,53 @@ def test_sweep_driver_runs_dp_and_engine_sections(capsys):
             assert cell["ops"] > 0 and cell["committed"] > 0 and cell["ms"] > 0
 
 
+def test_sweep_driver_runs_select_and_gate_sections(capsys):
+    bench_matrix.main(["select", "gate", "--seed", "0", "--repeats", "1"])
+    first = json.loads(capsys.readouterr().out)
+    assert list(first) == ["select", "gate"]
+
+    select = first["select"]
+    assert (select["dims"], select["runs"]) == ([8] * 5, bench_matrix.SELECT_RUNS)
+    assert list(select["budgets"]) == ["600", "1000"]
+    for row in select["budgets"].values():
+        assert list(row) == ["ms_per_run", "runs_per_s", "genome_ids", "epochs"]
+        assert row["runs_per_s"] > 0 and len(row["genome_ids"]) == select["runs"]
+        assert all(0 < epochs for epochs in row["epochs"])
+
+    gate = first["gate"]
+    assert gate["parse_encode_per_s"] > 0 and list(gate["nets"]) == ["default", "scaled"]
+    for row in gate["nets"].values():
+        assert row["forward_per_s"] > 0 and 1 <= row["mean_active"] <= 2     # k_max 2
+
+    # what the runs select and gate is drawn from the seed, not the clock
+    bench_matrix.main(["select", "gate", "--seed", "0", "--repeats", "2"])
+    second = json.loads(capsys.readouterr().out)
+    for out in (first, second):
+        for row in out["select"]["budgets"].values():
+            del row["ms_per_run"], row["runs_per_s"]
+        del out["gate"]["parse_encode_per_s"], out["select"]["repeats"], out["gate"]["repeats"]
+        for row in out["gate"]["nets"].values():
+            del row["forward_per_s"]
+    assert first == second
+
+
+def test_log_section_takes_repeats_round_robin(monkeypatch, capsys):
+    """Each pass times every length once, so a cell's fastest call is taken
+    over the whole run, not over one stretch of it."""
+    builds, build = [], bench_matrix.build
+    monkeypatch.setattr(bench_matrix, "LENGTHS", (100, 300))
+    monkeypatch.setattr(bench_matrix, "build",
+                        lambda enclave, txns: builds.append(len(txns)) or build(enclave, txns))
+    bench_matrix.main(["log", "--seed", "0", "--repeats", "3"])
+    lengths = json.loads(capsys.readouterr().out)["log"]["lengths"]
+    assert list(lengths) == ["100", "300"]
+    small, large = (len(bench_matrix.write_stream(0, n)) for n in (100, 300))
+    assert builds == [small, large] * 3
+    for row in lengths.values():
+        assert list(row) == ["records", "bytes", "keys", "append_seal_ms", "to_text_ms",
+                             "from_text_ms", "records_ms", "verify_log_ms", "recover_ms"]
+
+
 @pytest.mark.parametrize("argv", [["bogus"], ["dp", "--repeats", "0"]])
 def test_sweep_driver_rejects_bad_arguments(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:

@@ -5,6 +5,8 @@
     PYTHONPATH=src python3 tools/bench_matrix.py dp --seed 0 --repeats 20
     PYTHONPATH=src python3 tools/bench_matrix.py log --seed 0 --repeats 5
     PYTHONPATH=src python3 tools/bench_matrix.py engine --seed 0 --repeats 5
+    PYTHONPATH=src python3 tools/bench_matrix.py select --seed 0 --repeats 5
+    PYTHONPATH=src python3 tools/bench_matrix.py gate --seed 0 --repeats 5
 
 With no section named, every section runs, each at its own default repeat
 count (`DEFAULT_REPEATS`); `--repeats` sets one count for all. The output
@@ -30,7 +32,9 @@ section's constants beside its table:
   (`append_seal_ms`); `to_text`; `from_text`; reading `records` of a
   freshly loaded log, which decodes every kept line (`records_ms`);
   `verify_log()` on a freshly loaded log, which knows no seal's verdict yet;
-  and `recover` of every written key on another freshly loaded log.
+  and `recover` of every written key on another freshly loaded log. The
+  repeats go round-robin: each pass times every measurement of every length
+  once, so each cell's fastest call is taken over the whole run.
 - `engine`: per key space (6, 24 and 2000 keys) and worker count (1, 4 and
   16), `WINDOWS` windows of `TICKS` ticks on a fresh engine, each drawn
   from the seed: transactions of `TXN_LEN` ops over Zipf(0.8) keys, 30%
@@ -41,6 +45,17 @@ section's constants beside its table:
   performed and `ops_per_s`, their ratio. Ops, commits and aborts are the
   same on every repeat and on every checkout that keeps the engine's
   outputs.
+- `select`: per budget (600 and 1000), `SELECT_RUNS` budgeted `select` runs
+  on an 8^5 `ModelSpace`, with the proxy scorer and training noise of the
+  `plan-select` workload and a `Trainer` with no data feed, a fresh one per
+  run. Per budget: the time of one run in ms, `runs_per_s`, and each run's
+  winning genome id and epochs charged, which every checkout that keeps
+  the selection outputs reproduces.
+- `gate`: `PREDICATES` predicates drawn from the seed over the default
+  `gate` schema, each parsed and encoded (`parse_encode_per_s`), then each
+  encoding through `gate` (`forward_per_s`), for the default net and for
+  the `cli` section's scaled one (64 experts, hidden width 256, embedding
+  width 64). `mean_active` is the mean number of experts a pass keeps.
 
 Every time is the fastest of the repeats, which filters out a noisy host,
 as `timeit` does. To compare two checkouts, run the script against each
@@ -59,11 +74,13 @@ from pathlib import Path
 from frpkernel import rng as rnglib
 from frpkernel.cc_adaptive import CCStrategy, SystemState, as_policy
 from frpkernel.engine import Engine, WorkloadSpec
+from frpkernel.gate import CATEGORICAL, GatingNet, Schema, encode_query, gate, parse_predicates
 from frpkernel.harness.config import BLOCK_OF, DEFAULTS
+from frpkernel.model_select import ModelSpace, ProxyScorer, Trainer, select
 from frpkernel.plan_opt import Catalog, Query, RelStats, edge_key, gen_candidates
 from frpkernel.recovery import EnclaveSim, RedoLog
 
-DEFAULT_REPEATS = {"cli": 5, "dp": 20, "log": 5, "engine": 5}
+DEFAULT_REPEATS = {"cli": 5, "dp": 20, "log": 5, "engine": 5, "select": 5, "gate": 5}
 
 
 def best_of(repeats: int, call, make_arg=lambda: None) -> tuple[float, object]:
@@ -196,23 +213,33 @@ def build(enclave: EnclaveSim, txns: list) -> RedoLog:
 
 def log(seed: int, repeats: int) -> dict:
     enclave = EnclaveSim(seed=rnglib.child_seed(seed, "bench-log", "enclave"))
-    table = {}
+    streams = {target: write_stream(seed, target) for target in LENGTHS}
+    keys = {target: sorted({key for _, writes in txns for key, _ in writes})
+            for target, txns in streams.items()}
+    best, table = {target: {} for target in LENGTHS}, {}
+    for _ in range(repeats):
+        for target, txns in streams.items():
+            ms = best[target]
+
+            def take(phase: str, call, make_arg=lambda: None):
+                t, out = best_of(1, call, make_arg)
+                ms[phase] = min(ms.get(phase, t), t)
+                return out
+
+            redo = take("append_seal_ms", lambda _: build(enclave, txns))
+            text = take("to_text_ms", lambda _: redo.to_text())
+            take("from_text_ms", lambda _: RedoLog.from_text(text, enclave))
+            # a log keeps each seal's verdict, so these time freshly loaded logs
+            loaded = lambda: RedoLog.from_text(text, enclave)    # noqa: E731
+            take("records_ms", lambda cold: cold.records, loaded)
+            if not take("verify_log_ms", RedoLog.verify_log, loaded):
+                raise SystemExit(f"error: the {target}-record log failed verify_log")
+            take("recover_ms", lambda cold: list(map(cold.recover, keys[target])), loaded)
+            if str(target) not in table:
+                table[str(target)] = {"records": len(redo.records), "bytes": len(text.encode()),
+                                      "keys": len(keys[target])}
     for target in LENGTHS:
-        txns = write_stream(seed, target)
-        keys = sorted({key for _, writes in txns for key, _ in writes})
-        ms = {}
-        ms["append_seal_ms"], redo = best_of(repeats, lambda _: build(enclave, txns))
-        ms["to_text_ms"], text = best_of(repeats, lambda _: redo.to_text())
-        ms["from_text_ms"], _ = best_of(repeats, lambda _: RedoLog.from_text(text, enclave))
-        # a log keeps each seal's verdict, so these time freshly loaded logs
-        loaded = lambda: RedoLog.from_text(text, enclave)    # noqa: E731
-        ms["records_ms"], _ = best_of(repeats, lambda cold: cold.records, loaded)
-        ms["verify_log_ms"], ok = best_of(repeats, RedoLog.verify_log, loaded)
-        if not ok:
-            raise SystemExit(f"error: the {target}-record log failed verify_log")
-        ms["recover_ms"], _ = best_of(repeats, lambda cold: list(map(cold.recover, keys)), loaded)
-        table[str(target)] = {"records": len(redo.records), "bytes": len(text.encode()),
-                              "keys": len(keys), **{p: round(t * 1e3, 3) for p, t in ms.items()}}
+        table[str(target)].update((p, round(t * 1e3, 3)) for p, t in best[target].items())
     return {"seed": seed, "keys": KEYS, "anchor_every": ANCHOR_EVERY,
             "repeats": repeats, "lengths": table}
 
@@ -257,7 +284,84 @@ def engine(seed: int, repeats: int) -> dict:
             "repeats": repeats, "key_spaces": table}
 
 
-SECTIONS = {"cli": cli, "dp": dp, "log": log, "engine": engine}
+# -- select -------------------------------------------------------------------
+
+SPACE_DIMS = (8, 8, 8, 8, 8)
+BUDGETS = (600, 1000)
+SELECT_RUNS = 4
+
+
+def select_(seed: int, repeats: int) -> dict:
+    space = ModelSpace(SPACE_DIMS, seed=rnglib.child_seed(seed, "bench-select", "space"))
+    scorer = ProxyScorer(space, rho=0.9, sigma=0.1, cost=1.0)
+    seeds = [rnglib.child_seed(seed, "bench-select", "run", i) for i in range(SELECT_RUNS)]
+
+    def runs(budget: float) -> list:
+        return [select(space, scorer, Trainer(space, cost_per_epoch=1.0, noise_sigma=0.05),
+                       budget, seed=s) for s in seeds]
+
+    table = {}
+    for budget in BUDGETS:
+        best, results = best_of(repeats, lambda _: runs(float(budget)))
+        table[str(budget)] = {"ms_per_run": round(best * 1e3 / SELECT_RUNS, 3),
+                              "runs_per_s": round(SELECT_RUNS / best, 1),
+                              "genome_ids": [r.genome.genome_id for r in results],
+                              "epochs": [r.epochs_charged for r in results]}
+    return {"seed": seed, "dims": list(SPACE_DIMS), "runs": SELECT_RUNS,
+            "repeats": repeats, "budgets": table}
+
+
+# -- gate ---------------------------------------------------------------------
+
+PREDICATES = 200
+NETS = {"default": {}, "scaled": SCALED["gate"]}
+
+
+def make_predicate(gen, schema: Schema) -> str:
+    """A conjunction over a non-empty random subset of the attributes: an
+    equality for a categorical one, an equality or a range for a numeric one,
+    over values up to twice its last bucket edge."""
+    count = int(gen.integers(1, schema.n_attrs + 1))
+    clauses = []
+    for i in sorted(gen.choice(schema.n_attrs, size=count, replace=False).tolist()):
+        attr = schema.attributes[i]
+        if attr.kind == CATEGORICAL:
+            value = attr.vocabulary[int(gen.integers(len(attr.vocabulary)))]
+            clauses.append(f"{attr.name} = {value}")
+            continue
+        lo, hi = sorted(round(float(x), 2) for x in gen.uniform(0.0, 2 * attr.bucket_edges[-1], 2))
+        clauses.append(f"{attr.name} = {lo}" if gen.random() < 0.5
+                       else f"{attr.name} between {lo} to {hi}")
+    return " AND ".join(clauses)
+
+
+def gate_(seed: int, repeats: int) -> dict:
+    params = DEFAULTS["gate"]
+    schema = Schema.from_dict(params["schema"])
+    gen = rnglib.derive(seed, "bench-gate", "predicates")
+    predicates = [make_predicate(gen, schema) for _ in range(PREDICATES)]
+
+    def parse_encode(_):
+        return [encode_query(parse_predicates(text), schema) for text in predicates]
+
+    parse_s, encodings = best_of(repeats, parse_encode)
+    table = {}
+    for name, sizes in NETS.items():
+        shape = {key: params[key] for key in ("n_experts", "embed_dim", "hidden_dim")} | sizes
+        net = GatingNet.random(schema, shape["n_experts"], embed_dim=shape["embed_dim"],
+                               hidden_dim=shape["hidden_dim"], k_max=params["k_max"],
+                               threshold=params["threshold"],
+                               seed=rnglib.child_seed(seed, "bench-gate", "net", name))
+        best, weights = best_of(repeats, lambda _: [gate(e, net) for e in encodings])
+        table[name] = {**shape, "forward_per_s": round(PREDICATES / best),
+                       "mean_active": round(sum(int((w > 0).sum()) for w in weights)
+                                            / PREDICATES, 3)}
+    return {"seed": seed, "predicates": PREDICATES, "repeats": repeats,
+            "parse_encode_per_s": round(PREDICATES / parse_s), "nets": table}
+
+
+SECTIONS = {"cli": cli, "dp": dp, "log": log, "engine": engine,
+            "select": select_, "gate": gate_}
 
 
 def main(argv: list[str] | None = None) -> None:
