@@ -16,6 +16,7 @@ validation at commit. A transaction may mix both.
 from __future__ import annotations
 
 import hashlib
+import math
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -185,6 +186,15 @@ class WorkloadSpec:
     arrival_rate: float = 2.0   # transactions per tick
     seed: int = 0
 
+    def __post_init__(self):
+        # the bounds of the workload block of the scenario configs
+        for name, ok, bound in (("key_space", self.key_space >= 1, ">= 1"),
+                                ("txn_len", self.txn_len >= 1, ">= 1"),
+                                ("arrival_rate", 0 <= self.arrival_rate < math.inf, "in [0, inf)"),
+                                ("write_frac", 0 <= self.write_frac <= 1, "in [0, 1]")):
+            if not ok:
+                raise ValueError(f"{name} must be {bound}, got {getattr(self, name)}")
+
 
 def zipf_probs(n: int, theta: float) -> np.ndarray:
     ranks = np.arange(1, n + 1, dtype=float)
@@ -203,9 +213,20 @@ def _read_ops(key_space: int) -> tuple[TxnOp, ...]:
     return tuple(TxnOp(READ, name) for name in _key_names(key_space))
 
 
-# Size one: the probe windows of one adaptation share a spec and hit it,
-# while a wider memo would carry schedules from one benchmark round into the
-# next and time the replay instead of the kernel.
+@lru_cache(maxsize=16)
+def _zipf_cdf(key_space: int, theta: float) -> np.ndarray:
+    """The normalised cdf that `Generator.choice(key_space, p=zipf_probs(...))`
+    searches `side="right"` for its `random(n)` draws."""
+    cdf = zipf_probs(key_space, theta).cumsum()
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False
+    return cdf
+
+
+# The memos above key on a spec's shape, never its seed. This one holds a
+# window's draws, so it has size one: the probe windows of one adaptation
+# share a spec and hit it, while a wider memo would carry schedules from one
+# benchmark round into the next and time the replay instead of the kernel.
 @lru_cache(maxsize=1)
 def _schedule(key_space: int, zipf_theta: float, write_frac: float, txn_len: int,
               seed: int, arrival_rate: float,
@@ -214,22 +235,21 @@ def _schedule(key_space: int, zipf_theta: float, write_frac: float, txn_len: int
     transaction i arrives at tick int(i / arrival_rate), while that is below
     `ticks`. A pure function of its arguments; schedules and op tuples are
     immutable, so a memo hit can be handed to every window."""
-    times = []
-    if arrival_rate > 0:
-        while int(len(times) / arrival_rate) < ticks:
-            times.append(int(len(times) / arrival_rate))
-    if not times:
+    if not arrival_rate > 0 or ticks <= 0:
         return ()
+    # int(i / rate) < ticks iff i / rate < ticks: at most int(ticks * rate) + 1 arrive
+    times = (np.arange(int(ticks * arrival_rate) + 1) / arrival_rate).astype(np.int64)
+    times = times[:times.searchsorted(ticks)].tolist()
     gen = rnglib.derive(seed, "window")
     n_ops = len(times) * txn_len
-    key_ids = gen.choice(key_space, size=n_ops, p=zipf_probs(key_space, zipf_theta))
+    # the keys of gen.choice(key_space, n_ops, p=zipf_probs(...)), same draws
+    key_ids = _zipf_cdf(key_space, zipf_theta).searchsorted(gen.random(n_ops), side="right")
     is_write = gen.random(n_ops) < write_frac
     values = gen.integers(0, 1_000_000, size=n_ops)
     names, reads = _key_names(key_space), _read_ops(key_space)
     ops = [TxnOp(WRITE, names[k], v) if wr else reads[k]
            for k, wr, v in zip(key_ids.tolist(), is_write.tolist(), values.tolist())]
-    return tuple((tick, tuple(ops[t * txn_len:(t + 1) * txn_len]))
-                 for t, tick in enumerate(times))
+    return tuple(zip(times, zip(*[iter(ops)] * txn_len)))
 
 
 class Engine:
@@ -422,15 +442,14 @@ class Engine:
         self._perform(txn, op, rec)
         txn.next_op += 1
         txn.op_wait = 0
-        if self._contended(txn, op.key):
+        # contended: another txn locks the key (`_conflicts`) or buffers a write
+        key = op.key
+        holders = self.locks.get(key)
+        if holders and (len(holders) > 1 or txn.txn_id not in holders):
+            return CONFLICT_NOTED
+        if self._write_intents.get(key, 0) > (1 if key in txn.buffered else 0):
             return CONFLICT_NOTED
         return OK
-
-    def _contended(self, txn: Txn, key: str) -> bool:
-        if self._conflicts(txn, key):
-            return True
-        own = 1 if key in txn.buffered else 0
-        return self._write_intents.get(key, 0) > own
 
     # -- shared helpers ---------------------------------------------------
 
@@ -451,7 +470,7 @@ class Engine:
                 txn.reads.append((op.key, rec.value))
 
     def _release_all(self, txn: Txn) -> None:
-        for key in list(txn.locks):
+        for key in txn.locks:
             holders = self.locks.get(key)
             if holders:
                 holders.pop(txn.txn_id, None)
@@ -521,6 +540,10 @@ class Engine:
         does. Whatever is unfinished at the cutoff is rolled back and counted
         as carryover.
 
+        Each op attempt makes exactly one call each of `self.hot_keys()`,
+        `policy` and `self.execute_op`, so wrappers on them see every
+        attempt; the window's counters are kept in locals and stored once.
+
         Deterministic in (workload.seed, policy): the arrival schedule is a
         pure function of the spec's fields and the tick count, never of
         engine state, so identical seeds produce identical streams
@@ -536,10 +559,12 @@ class Engine:
         retries: deque[Sequence[TxnOp]] = deque()
         held: deque[int] = deque()      # ticks at which rolled-back slots free up
 
-        stats = ExecStats()
         self._reset_access_counts()
+        counts, hot, lock_overhead = self.access_counts, self._hot, self.lock_overhead
         max_workers, abort_cost = self.max_workers, self.abort_cost
-        begin, step, commit = self.begin, self._step_op, self.validate_and_commit
+        begin, commit = self.begin, self.validate_and_commit
+        hot_keys, execute_op, count_access = self.hot_keys, self.execute_op, self._count_access
+        committed = aborted = performed = locked = conflicted = lock_wait = 0
         running: list[Txn] = []
         for tick in range(ticks):
             while held and held[0] <= tick:
@@ -554,50 +579,52 @@ class Engine:
                 running.append(begin(ops))
             still_running = []
             for txn in running:
-                # a txn may already be a deadlock victim of another's step
+                # a txn may already be a deadlock victim of another's attempt
                 if txn.status == ACTIVE:
-                    if txn.next_op < len(txn.ops):
-                        step(txn, policy, stats)
-                    else:
+                    if txn.next_op == len(txn.ops):
                         commit(txn)
+                    elif txn.stall > 0:
+                        txn.stall -= 1
+                    else:
+                        op = txn.ops[txn.next_op]
+                        key = op.key
+                        action = policy(op.kind, HOT if key in hot_keys() else COLD)
+                        out = execute_op(txn, op, action)
+                        status = out.status
+                        if status in _PERFORMED:
+                            # a hot key other than the coldest keeps its rank
+                            if key in hot and key != self._coldest_hot:
+                                counts[key] += 1
+                            else:
+                                count_access(key)
+                            performed += 1
+                            if action is _LOCK:
+                                locked += 1
+                                lock_wait += out.wait
+                                txn.stall = lock_overhead
+                            if status is not _OK:
+                                conflicted += 1
                 status = txn.status
                 if status == ACTIVE:
                     still_running.append(txn)
                 elif status == COMMITTED:
-                    stats.committed_count += 1
+                    committed += 1
                 else:
-                    stats.aborted_count += 1
+                    aborted += 1
                     held.append(tick + abort_cost)
                     retries.append(txn.ops)
             running = still_running
 
+        carryover = len(arrivals) + len(retries)
         for txn in running:
             if txn.status == ABORTED:
-                stats.aborted_count += 1
+                aborted += 1
             else:
                 self.abort(txn, "window_end")
-                stats.carryover_count += 1
-        stats.carryover_count += len(arrivals) + len(retries)
+                carryover += 1
 
         assert self.lock_table_empty(), "locks leaked past window end"
         assert not self._write_intents, "write intents leaked past window end"
-        return stats
-
-    def _step_op(self, txn: Txn, policy, stats: ExecStats) -> None:
-        if txn.stall > 0:
-            txn.stall -= 1
-            return
-        op = txn.ops[txn.next_op]
-        key = op.key
-        action = policy(op.kind, HOT if key in self.hot_keys() else COLD)
-        out = self.execute_op(txn, op, action)
-        status = out.status
-        if status in _PERFORMED:
-            self._count_access(key)
-            stats.op_count += 1
-            if action is _LOCK:
-                stats.locked_op_count += 1
-                stats.total_lock_wait += out.wait
-                txn.stall = self.lock_overhead
-            if status is not _OK:
-                stats.conflicted_op_count += 1
+        return ExecStats(committed_count=committed, aborted_count=aborted,
+                         total_lock_wait=lock_wait, op_count=performed, locked_op_count=locked,
+                         conflicted_op_count=conflicted, carryover_count=carryover)

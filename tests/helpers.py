@@ -106,7 +106,9 @@ def reference_schedule(workload, ticks):
     times = []
     rate = workload.arrival_rate
     if rate > 0:
-        while int(len(times) / rate) < ticks:
+        # int(i / rate) < ticks, tested on the float itself, which may
+        # overflow to inf at subnormal rates where int() would raise
+        while len(times) / rate < ticks:
             times.append(int(len(times) / rate))
     gen = rnglib.derive(workload.seed, "window")
     probs = zipf_probs(workload.key_space, workload.zipf_theta)

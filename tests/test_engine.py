@@ -1,11 +1,14 @@
 import hashlib
 import itertools
+import math
 import random
 from collections import deque
 from dataclasses import astuple, fields, replace
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frpkernel.engine import (
@@ -26,7 +29,9 @@ from frpkernel.engine import (
     TxnOp,
     WorkloadSpec,
     _schedule,
+    _zipf_cdf,
     compute_checksum,
+    zipf_probs,
 )
 from frpkernel.cc_adaptive import (
     Bucketizer,
@@ -36,6 +41,7 @@ from frpkernel.cc_adaptive import (
     all_cells,
     as_policy,
 )
+from frpkernel import rng as rnglib
 from frpkernel.recovery import EnclaveSim, RedoLog
 from helpers import (
     all_lock,
@@ -260,6 +266,25 @@ def test_engine_rejects_malformed_parameters():
     Engine(max_workers=1, hot_key_count=0, lock_overhead=0, abort_cost=0)
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("key_space", 0), ("key_space", -3),
+    ("txn_len", 0), ("txn_len", -1),
+    ("arrival_rate", -0.5), ("arrival_rate", math.inf), ("arrival_rate", math.nan),
+    ("write_frac", -0.1), ("write_frac", 1.5), ("write_frac", math.nan),
+])
+def test_workload_spec_rejects_out_of_range_fields(field, bad):
+    # the bounds of the scenario configs' workload block
+    with pytest.raises(ValueError, match=field):
+        WorkloadSpec(**{field: bad})
+
+
+def test_workload_spec_accepts_its_bounds():
+    idle = WorkloadSpec(key_space=1, txn_len=1, arrival_rate=0.0, write_frac=0.0)
+    assert Engine().run_window(idle, all_lock, 10) == ExecStats()
+    busy = WorkloadSpec(key_space=1, txn_len=1, arrival_rate=8.0, write_frac=1.0)
+    assert Engine().run_window(busy, all_lock, 10).committed_count > 0
+
+
 def test_store_reads_of_absent_key_share_one_initial_record():
     eng = Engine()
     first = eng.store.read("never")
@@ -284,10 +309,23 @@ def reference_contended(eng: Engine, txn, key: str) -> bool:
                for t, other in eng.active.items() if t != txn.txn_id)
 
 
-def assert_contended_matches_scan(eng: Engine, keys) -> None:
+def assert_contended_matches_scan(eng: Engine, txn, op: TxnOp, action: CCAction,
+                                  out: OpOutcome) -> None:
+    """An optimistic attempt of `txn` at `op` notes a conflict (CONFLICT_NOTED,
+    else OK) iff the full scan after it finds one."""
+    if action is OPT:
+        assert out.status is (OpStatus.CONFLICT_NOTED if reference_contended(eng, txn, op.key)
+                              else OpStatus.OK)
+
+
+def assert_lock_state_matches_scan(eng: Engine, keys) -> None:
+    """The kept lock holders and write-intent counts agree with their scans
+    for every active txn and every key in `keys`."""
     for txn in eng.active.values():
         for key in keys:
-            assert eng._contended(txn, key) == reference_contended(eng, txn, key)
+            # the reference engine's contention test reads just that state
+            assert (ReferenceEngine._contended(eng, txn, key)
+                    == reference_contended(eng, txn, key))
             assert eng._conflicts(txn, key) == bool(eng._blockers(txn, key, "X"))
 
 
@@ -312,15 +350,34 @@ def test_hot_set_matches_full_sort_after_every_access(hot_key_count, windows):
 
 
 class CheckedEngine(Engine):
-    """Checks the hot set and contention against their full scans after
-    every op attempt of a window."""
+    """Checks the hot set and contention against their full scans at every
+    op attempt of a window: contention right after the attempt, the hot set
+    (counts bumped up to the previous attempt) with it and once more at the
+    window's end, after the last attempt's bump."""
 
-    def _step_op(self, txn, policy, stats):
-        super()._step_op(txn, policy, stats)
-        assert self.hot_keys() == reference_hot_keys(self.access_counts,
-                                                      self.hot_key_count)
-        assert_contended_matches_scan(self, {op.key for t in self.active.values()
-                                             for op in t.ops})
+    def run_window(self, workload, policy, duration):
+        self.attempts = self.checks = 0
+        stats = super().run_window(workload, policy, duration)
+        self.assert_hot_set_matches_sort()
+        assert self.checks == self.attempts >= stats.op_count
+        return stats
+
+    def hot_keys(self):
+        self.attempts += 1      # run_window reads the hot set once per attempt
+        return super().hot_keys()
+
+    def execute_op(self, txn, op, action):
+        out = super().execute_op(txn, op, action)
+        self.assert_hot_set_matches_sort()
+        assert_contended_matches_scan(self, txn, op, action, out)
+        assert_lock_state_matches_scan(self, {o.key for t in self.active.values()
+                                              for o in t.ops})
+        self.checks += 1
+        return out
+
+    def assert_hot_set_matches_sort(self):
+        assert super().hot_keys() == reference_hot_keys(self.access_counts,
+                                                        self.hot_key_count)
 
 
 actions = st.sampled_from((CCAction.LOCK_IMMEDIATE, CCAction.OPTIMISTIC_NO_LOCK))
@@ -357,6 +414,11 @@ steps = st.lists(st.tuples(st.sampled_from(("begin", "step", "abort")),
                  max_size=80)
 
 
+# optimistic attempts on a key whose writes other txns buffer, with and
+# without a buffered write of their own: rare in random scripts
+@example(plans=[[(WRITE, "a")], [(READ, "a"), (WRITE, "a"), (READ, "a")]],
+         script=[("begin", 0, OPT), ("begin", 1, OPT), ("step", 0, OPT),
+                 ("step", 1, OPT), ("step", 1, OPT), ("step", 1, OPT)])
 @settings(max_examples=200, deadline=None)
 @given(plans=st.lists(ops, min_size=1, max_size=6), script=steps)
 def test_contended_matches_scan_of_active_buffers(plans, script):
@@ -372,12 +434,14 @@ def test_contended_matches_scan_of_active_buffers(plans, script):
             # a locked attempt may block, or abort a deadlock victim
             txn = live[i % len(live)]
             if txn.next_op < len(txn.ops):
-                eng.execute_op(txn, txn.ops[txn.next_op], action)
+                op = txn.ops[txn.next_op]
+                out = eng.execute_op(txn, op, action)
+                assert_contended_matches_scan(eng, txn, op, action, out)
             else:
                 eng.validate_and_commit(txn)
         else:
             eng.abort(live[i % len(live)])
-        assert_contended_matches_scan(eng, KEYS[:3])
+        assert_lock_state_matches_scan(eng, KEYS[:3])
     for txn in list(eng.active.values()):
         eng.abort(txn)
     assert eng.lock_table_empty()
@@ -524,6 +588,12 @@ class ReferenceEngine(Engine):
             return OpOutcome(OpStatus.CONFLICT_NOTED)
         return OpOutcome(OpStatus.OK)
 
+    def _contended(self, txn, key):
+        if self._conflicts(txn, key):
+            return True
+        own = 1 if key in txn.buffered else 0
+        return self._write_intents.get(key, 0) > own
+
 
 def reference_run_window(eng: Engine, workload: WorkloadSpec, policy,
                          duration: float) -> ExecStats:
@@ -656,6 +726,57 @@ def schedule_of(spec: WorkloadSpec, ticks: int):
                      spec.seed, spec.arrival_rate, ticks)
 
 
+class EdgeGenerator(np.random.Generator):
+    """A generator whose first `random(size)` call returns `edges`, cycled to
+    `size`, instead of draws from its bit stream. Random draws almost never
+    land on a bucket edge of the key cdf; these do, so a draw that searches
+    the wrong side of an edge, or a cdf off by an ulp, shows."""
+
+    def __init__(self, bit_generator, edges):
+        super().__init__(bit_generator)
+        self.edges = edges
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        if self.edges is None:
+            return super().random(size, dtype, out)
+        edges, self.edges = self.edges, None
+        return np.resize(edges, size)
+
+
+def cdf_edges(key_space: int, theta: float) -> np.ndarray:
+    """Every inner bucket edge of the cdf that `Generator.choice` builds for
+    `zipf_probs(key_space, theta)`, with its neighbours an ulp either side."""
+    cdf = zipf_probs(key_space, theta).cumsum()
+    cdf /= cdf[-1]
+    inner = cdf[:-1]
+    edges = np.concatenate([inner, np.nextafter(inner, 0.0), np.nextafter(inner, 1.0)])
+    return edges[edges < 1.0]
+
+
+def edge_derive(key_space: int, theta: float):
+    """`rnglib.derive`, but handing out an `EdgeGenerator` on the cdf's edges."""
+    derive = rnglib.derive
+    return lambda *args: EdgeGenerator(derive(*args).bit_generator,
+                                       cdf_edges(key_space, theta))
+
+
+# the three window shapes of the benchmark: txn-wide and both adapt-shift phases
+@example(key_space=24, zipf_theta=0.0, write_frac=0.05, txn_len=3, seed=7,
+         arrival_rate=3.0, ticks=120, edges=True)
+@example(key_space=6, zipf_theta=0.99, write_frac=0.8, txn_len=3, seed=8,
+         arrival_rate=3.0, ticks=40, edges=True)
+@example(key_space=2000, zipf_theta=0.8, write_frac=0.3, txn_len=4, seed=9,
+         arrival_rate=4.0, ticks=40, edges=True)
+# rates at which i / rate rounds inexactly
+@example(key_space=5, zipf_theta=0.8, write_frac=0.3, txn_len=2, seed=1,
+         arrival_rate=1 / 3, ticks=130, edges=False)
+@example(key_space=5, zipf_theta=0.8, write_frac=0.3, txn_len=2, seed=2,
+         arrival_rate=0.7, ticks=120, edges=False)
+@example(key_space=5, zipf_theta=0.8, write_frac=0.3, txn_len=2, seed=3,
+         arrival_rate=2.9, ticks=130, edges=False)
+# one arrival at tick 0; 1 / rate overflows to inf
+@example(key_space=5, zipf_theta=0.8, write_frac=0.3, txn_len=2, seed=4,
+         arrival_rate=5e-324, ticks=130, edges=False)
 @settings(max_examples=200, deadline=None)
 @given(
     key_space=st.one_of(st.integers(1, 12), st.integers(990, 2500)),
@@ -663,19 +784,44 @@ def schedule_of(spec: WorkloadSpec, ticks: int):
     write_frac=st.sampled_from((0.0, 0.3, 1.0)),
     txn_len=st.integers(1, 5),
     seed=st.integers(0, 2**32),
-    arrival_rate=st.sampled_from((0.0, 0.3, 1.0, 2.5, 4.0)),
-    ticks=st.integers(0, 25),
+    arrival_rate=st.floats(0.0, 8.0, exclude_min=True),
+    ticks=st.integers(0, 130),
+    edges=st.booleans(),
 )
 def test_schedule_matches_per_op_reference(key_space, zipf_theta, write_frac, txn_len,
-                                           seed, arrival_rate, ticks):
+                                           seed, arrival_rate, ticks, edges):
     spec = WorkloadSpec(key_space, zipf_theta, write_frac, txn_len, arrival_rate, seed)
-    got = schedule_of(spec, ticks)
-    want = reference_schedule(spec, ticks)
+    derive = edge_derive(key_space, zipf_theta) if edges else rnglib.derive
+    with mock.patch.object(rnglib, "derive", derive):
+        # past the memo, which may hold this spec's schedule from other draws
+        got = _schedule.__wrapped__(key_space, zipf_theta, write_frac, txn_len, seed,
+                                    arrival_rate, ticks)
+        want = reference_schedule(spec, ticks)
     assert len(got) == len(want)
     for (tick, ops), (ref_tick, ref_ops) in zip(got, want):
         assert tick == ref_tick
         assert [(op.kind, op.key, op.write_value) for op in ops] == [
             (op.kind, op.key, op.write_value) for op in ref_ops]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.one_of(st.integers(1, 30), st.integers(990, 2500)),
+    theta=st.one_of(st.sampled_from((0.0, 0.8, 0.99, 1.2)), st.floats(0.0, 2.0)),
+    size=st.integers(0, 300),
+    seed=st.integers(0, 2**32),
+    edges=st.booleans(),
+)
+def test_cdf_draw_matches_choice(n, theta, size, seed, edges):
+    def generator():
+        gen = rnglib.derive(seed, "window")
+        return EdgeGenerator(gen.bit_generator, cdf_edges(n, theta) if edges else None)
+
+    gen, twin = generator(), generator()
+    got = _zipf_cdf(n, theta).searchsorted(gen.random(size), side="right")
+    want = twin.choice(n, size=size, p=zipf_probs(n, theta))
+    assert got.tolist() == want.tolist()
+    assert gen.bit_generator.state == twin.bit_generator.state
 
 
 def test_schedule_of_empty_windows_is_empty():

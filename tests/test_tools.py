@@ -68,12 +68,19 @@ def test_sweep_driver_runs_dp_and_engine_sections(capsys):
 
     grid = out["engine"]["key_spaces"]
     assert out["engine"]["repeats"] == 1
+    assert dp["cal_ms"] > 0 and out["engine"]["cal_ms"] > 0
     assert list(grid) == ["6", "24", "2000"]
     for row in grid.values():
         assert list(row) == ["1", "4", "16"]
         for cell in row.values():
             assert list(cell) == ["ops", "committed", "aborted", "ms", "ops_per_s"]
             assert cell["ops"] > 0 and cell["committed"] > 0 and cell["ms"] > 0
+
+
+def test_sweep_driver_times_the_benchmark_calibration_kernel():
+    # imported from the benchmark, not copied, so cal_ms means the same there
+    assert bench_matrix.calibrate.__module__ == "run"
+    assert Path(bench_matrix.calibrate.__code__.co_filename).parent.name == "benchmarks"
 
 
 def test_sweep_driver_runs_select_and_gate_sections(capsys):
@@ -101,6 +108,7 @@ def test_sweep_driver_runs_select_and_gate_sections(capsys):
         for row in out["select"]["budgets"].values():
             del row["ms_per_run"], row["runs_per_s"]
         del out["gate"]["parse_encode_per_s"], out["select"]["repeats"], out["gate"]["repeats"]
+        del out["select"]["cal_ms"], out["gate"]["cal_ms"]
         for row in out["gate"]["nets"].values():
             del row["forward_per_s"]
     assert first == second

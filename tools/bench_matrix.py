@@ -60,6 +60,14 @@ section's constants beside its table:
 Every time is the fastest of the repeats, which filters out a noisy host,
 as `timeit` does. To compare two checkouts, run the script against each
 one's `src/`, taking turns, on the same seed.
+
+Each section's object also holds `cal_ms`, the best of `CAL_REPEATS` times
+of the calibration kernel of `benchmarks/run.py` (`CAL_REPEATS` and
+`REF_CAL_S` are that file's), timed right after the section: how fast the
+host ran. A time `t_ms` of the section scales to the benchmark's ref units
+as `t_ms * REF_CAL_S * 1e3 / cal_ms`, which makes sweeps taken under
+different host speeds comparable, as far as that speed held through the
+section.
 """
 
 import argparse
@@ -70,6 +78,10 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+# run.py imports its sibling modules by name
+sys.path.append(str(Path(__file__).resolve().parent.parent / "benchmarks"))
+from run import calibrate  # noqa: E402
 
 from frpkernel import rng as rnglib
 from frpkernel.cc_adaptive import CCStrategy, SystemState, as_policy
@@ -360,6 +372,13 @@ def gate_(seed: int, repeats: int) -> dict:
             "parse_encode_per_s": round(PREDICATES / parse_s), "nets": table}
 
 
+def cal_ms() -> float:
+    """The best time in ms of the benchmark's calibration kernel."""
+    cal_s: list[float] = []
+    calibrate(cal_s)
+    return round(min(cal_s) * 1e3, 4)
+
+
 SECTIONS = {"cli": cli, "dp": dp, "log": log, "engine": engine,
             "select": select_, "gate": gate_}
 
@@ -376,7 +395,8 @@ def main(argv: list[str] | None = None) -> None:
         parser.error(f"sections are {', '.join(SECTIONS)}, not {' '.join(args.sections)}")
     if args.repeats is not None and args.repeats < 1:
         parser.error("--repeats must be at least 1")
-    print(json.dumps({name: SECTIONS[name](args.seed, args.repeats or DEFAULT_REPEATS[name])
+    print(json.dumps({name: {**SECTIONS[name](args.seed, args.repeats or DEFAULT_REPEATS[name]),
+                             "cal_ms": cal_ms()}
                       for name in args.sections or SECTIONS}, indent=1))
 
 
