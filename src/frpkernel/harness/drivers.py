@@ -201,10 +201,9 @@ def run_recover_demo(params: dict, seed: int):
 
     repairs = []
     max_replay = 0
-    records = log.records   # decoded once: repairs append nothing
     for i, key in enumerate(sorted(victims)):
         kind = ("value", "rollback", "checksum")[i % 3]
-        _inject_tamper(engine, records, key, kind)
+        _inject_tamper(engine, log, key, kind)
         detected = log.detect_tamper(key, engine.store.read(key))
         restored = log.recover(key)
         replay = log.last_replay_count
@@ -225,7 +224,7 @@ def run_recover_demo(params: dict, seed: int):
 
     summary = {
         "anchor_every": params["anchor_every"],
-        "log_records": len(log.records),
+        "log_records": log_text.count("\n") - 1,     # a line per record, and the header
         "keys_tampered": len(repairs),
         "repairs": repairs,
         "all_detected": all(r["detected"] for r in repairs),
@@ -237,17 +236,13 @@ def run_recover_demo(params: dict, seed: int):
     return writer, summary, {"redo_log.txt": log_text}
 
 
-def _inject_tamper(engine: Engine, records: tuple, key: str, kind: str) -> None:
+def _inject_tamper(engine: Engine, log: RedoLog, key: str, kind: str) -> None:
     record = engine.store.read(key)
     if kind == "value":
         engine.store.tamper(key, value=record.value + 1)
     elif kind == "rollback":
         old_version = max(0, record.version - 1)
-        old_value = 0
-        for rec in records:
-            if getattr(rec, "key", None) == key and getattr(rec, "mod_index", None) == old_version:
-                old_value = rec.new_value
-                break
+        old_value = log.value_at(key, old_version)
         engine.store.tamper(key, value=old_value, version=old_version,
                             checksum=compute_checksum(key, old_value, old_version))
     else:

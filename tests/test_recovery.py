@@ -19,7 +19,7 @@ from frpkernel.recovery import (
     RedoLog,
     TxnSeal,
     UnknownTxn,
-    _parse_record,
+    _decode,
 )
 
 
@@ -101,6 +101,29 @@ def test_double_seal_errors():
     append_and_seal(log, 1, [("x", 1)])
     with pytest.raises(LogError):
         log.seal_txn(1)
+
+
+# a key UTF-8 cannot encode (a lone surrogate) could be appended but never
+# sealed, digested or saved, so the key form refuses it with the old cases
+@pytest.mark.parametrize("key", ["", "a|b", "a\nb", "\udcff", "k\ud800"])
+def test_append_refuses_illegal_key_before_appending(key):
+    log = make_log()
+    append_and_seal(log, 1, [("a", 1)])
+    log.register_txn(2)
+    before = log.to_text()
+    with pytest.raises(ValueError, match="illegal key"):
+        log.append_redo(2, key, 5)
+    assert log.to_text() == before
+    log.seal_txn(2)
+    assert RedoLog.from_text(log.to_text(), log.enclave).verify_log()
+
+
+@pytest.mark.parametrize("line", ["R|0|1|\ud800|5|1", "A|0|a\udfff|5|4|4"])
+def test_load_refuses_key_utf8_cannot_encode(line):
+    log = make_log()
+    header = log.to_text().split("\n", 1)[0]
+    with pytest.raises(LogCorrupt, match="non-canonical record"):
+        RedoLog.from_text(f"{header}\n{line}\n", log.enclave)
 
 
 def test_seal_refuses_interleaved_txn_and_second_seal():
@@ -669,6 +692,33 @@ def test_recover_matches_whole_log_rescan(n, events, seal_rest, rounds):
             log = mutate(log, kind, at, other, txn_id)
 
 
+def scanned_rollback_value(records, key, old_version):
+    """The rollback value `recover-demo` used to inject: its scan of every
+    decoded record for `key`'s redo at `old_version` (verbatim)."""
+    old_value = 0
+    for rec in records:
+        if getattr(rec, "key", None) == key and getattr(rec, "mod_index", None) == old_version:
+            old_value = rec.new_value
+            break
+    return old_value
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.sampled_from([1, 2, 4]), events=EVENTS, seal_rest=st.booleans())
+def test_value_at_matches_scan_of_records(n, events, seal_rest):
+    """`value_at` reads from the per-key state the value the driver's scan
+    of every record found, for each written key and a ghost, at every
+    version from below the first to past the last, on interleaved logs and
+    their reloads."""
+    log, _ = interleaved_log(n, events, seal_rest)
+    for target in (log, RedoLog.from_text(log.to_text(), log.enclave)):
+        records = target.records
+        for key in list(ORACLE_KEYS) + ["ghost"]:
+            for version in range(-1, target.expected_state(key)[1] + 2):
+                assert target.value_at(key, version) == \
+                    scanned_rollback_value(records, key, version)
+
+
 def recovery_pass(log, verify_first):
     """Count the `_seal_ok` calls per seal lsn over an optional
     `verify_log()` followed by `recover` on every key; also return each
@@ -911,7 +961,7 @@ def test_loader_accepts_what_parse_and_render_accepted(raw):
     rendering back accepted, builds an equal record from each, and refuses
     every other line with LogCorrupt."""
     expected = outcome(lambda: reference_load_line(raw))
-    got = outcome(lambda: _parse_record(raw))
+    got = outcome(lambda: _decode(raw))
     assert expected[0] == "ok" or expected[1] is LogCorrupt
     assert got[:2] == expected[:2]
     if got[0] == "ok":

@@ -69,6 +69,8 @@ def test_sweep_driver_runs_dp_and_engine_sections(capsys):
     grid = out["engine"]["key_spaces"]
     assert out["engine"]["repeats"] == 1
     assert dp["cal_ms"] > 0 and out["engine"]["cal_ms"] > 0
+    assert list(dp["ref_ms"]["relations"]["8"]) == ["median_best_ms"]
+    assert list(out["engine"]["ref_ms"]["key_spaces"]["6"]["16"]) == ["ms"]
     assert list(grid) == ["6", "24", "2000"]
     for row in grid.values():
         assert list(row) == ["1", "4", "16"]
@@ -109,6 +111,7 @@ def test_sweep_driver_runs_select_and_gate_sections(capsys):
             del row["ms_per_run"], row["runs_per_s"]
         del out["gate"]["parse_encode_per_s"], out["select"]["repeats"], out["gate"]["repeats"]
         del out["select"]["cal_ms"], out["gate"]["cal_ms"]
+        del out["select"]["ref_ms"], out["gate"]["ref_ms"]
         for row in out["gate"]["nets"].values():
             del row["forward_per_s"]
     assert first == second
@@ -127,8 +130,25 @@ def test_log_section_takes_repeats_round_robin(monkeypatch, capsys):
     small, large = (len(bench_matrix.write_stream(0, n)) for n in (100, 300))
     assert builds == [small, large] * 3
     for row in lengths.values():
-        assert list(row) == ["records", "bytes", "keys", "append_seal_ms", "to_text_ms",
-                             "from_text_ms", "records_ms", "verify_log_ms", "recover_ms"]
+        assert list(row) == ["records", "bytes", "sha256", "keys", "append_seal_ms",
+                             "to_text_ms", "from_text_ms", "records_ms", "verify_log_ms",
+                             "recover_ms"]
+
+
+def test_sweep_driver_scales_times_to_ref_ms():
+    """Every time, and only times, at any depth: a host on which the
+    calibration kernel runs in half REF_CAL_S reads twice its ms in ref ms;
+    a time in s is read in ms and renamed."""
+    cal = bench_matrix.REF_CAL_S * 1e3 / 2
+    section = {"seed": 0, "repeats": 3, "startup_s": 0.25, "ms_per_run": 2.0,
+               "lengths": {"1000": {"records": 7, "sha256": "ab", "from_text_ms": 1.5}},
+               "key_spaces": {"6": {"1": {"ops": 9, "ms": 0.125, "ops_per_s": 72}}},
+               "runs_per_s": 3.0, "nets": {"default": {"forward_per_s": 5}}}
+    assert bench_matrix.ref_ms(section, cal) == {
+        "startup_ms": 500.0, "ms_per_run": 4.0,
+        "lengths": {"1000": {"from_text_ms": 3.0}},
+        "key_spaces": {"6": {"1": {"ms": 0.25}}}}
+    assert bench_matrix.ref_ms({"ms": 3.0}, 4.5) == {"ms": 1.0}
 
 
 @pytest.mark.parametrize("argv", [["bogus"], ["dp", "--repeats", "0"]])

@@ -28,7 +28,9 @@ section's constants beside its table:
   of distinct candidates.
 - `log`: per target length (1k, 4k, 16k and 64k records), a write stream of
   transactions of 1 to 4 distinct keys out of 200, each followed by its
-  seal. It times, in ms: `append_redo` and `seal_txn` into an empty log
+  seal. It records the log's `records`, `bytes` and the `sha256` of its
+  text, which every checkout that keeps the log format reproduces, and
+  times, in ms: `append_redo` and `seal_txn` into an empty log
   (`append_seal_ms`); `to_text`; `from_text`; reading `records` of a
   freshly loaded log, which decodes every kept line (`records_ms`);
   `verify_log()` on a freshly loaded log, which knows no seal's verdict yet;
@@ -64,13 +66,15 @@ one's `src/`, taking turns, on the same seed.
 Each section's object also holds `cal_ms`, the best of `CAL_REPEATS` times
 of the calibration kernel of `benchmarks/run.py` (`CAL_REPEATS` and
 `REF_CAL_S` are that file's), timed right after the section: how fast the
-host ran. A time `t_ms` of the section scales to the benchmark's ref units
-as `t_ms * REF_CAL_S * 1e3 / cal_ms`, which makes sweeps taken under
-different host speeds comparable, as far as that speed held through the
-section.
+host ran. Its `ref_ms` holds every time of the section, nested as in the
+section, scaled to the benchmark's ref ms as `t_ms * REF_CAL_S * 1e3 /
+cal_ms` (see `ref_ms`), which makes sweeps taken under different host
+speeds comparable, as far as that speed held through the section. Rates
+and counts are not scaled, so `gate`'s is empty.
 """
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -81,7 +85,7 @@ from pathlib import Path
 
 # run.py imports its sibling modules by name
 sys.path.append(str(Path(__file__).resolve().parent.parent / "benchmarks"))
-from run import calibrate  # noqa: E402
+from run import REF_CAL_S, calibrate  # noqa: E402
 
 from frpkernel import rng as rnglib
 from frpkernel.cc_adaptive import CCStrategy, SystemState, as_policy
@@ -248,7 +252,9 @@ def log(seed: int, repeats: int) -> dict:
                 raise SystemExit(f"error: the {target}-record log failed verify_log")
             take("recover_ms", lambda cold: list(map(cold.recover, keys[target])), loaded)
             if str(target) not in table:
-                table[str(target)] = {"records": len(redo.records), "bytes": len(text.encode()),
+                data = text.encode()
+                table[str(target)] = {"records": len(redo.records), "bytes": len(data),
+                                      "sha256": hashlib.sha256(data).hexdigest(),
                                       "keys": len(keys[target])}
     for target in LENGTHS:
         table[str(target)].update((p, round(t * 1e3, 3)) for p, t in best[target].items())
@@ -379,6 +385,31 @@ def cal_ms() -> float:
     return round(min(cal_s) * 1e3, 4)
 
 
+def ref_ms(section: dict, cal: float) -> dict:
+    """The times in `section`, nested as there, in the benchmark's ref ms:
+    `t_ms * REF_CAL_S * 1e3 / cal`, for a calibration time `cal` in ms. A
+    time is a number under a key with an `ms` word, in ms, or ending in `_s`
+    but not `_per_s`, in s, and then renamed to end in `_ms`."""
+    scaled = {}
+    for key, value in section.items():
+        words = key.split("_")
+        if isinstance(value, dict):
+            if nested := ref_ms(value, cal):
+                scaled[key] = nested
+        elif "ms" in words:
+            scaled[key] = round(value * REF_CAL_S * 1e3 / cal, 3)
+        elif words[-1] == "s" and words[-2:-1] != ["per"]:
+            scaled[key[:-2] + "_ms"] = round(value * 1e3 * REF_CAL_S * 1e3 / cal, 3)
+    return scaled
+
+
+def run_section(name: str, seed: int, repeats: int) -> dict:
+    """Section `name`'s object, with `cal_ms` and its times in `ref_ms`."""
+    section = SECTIONS[name](seed, repeats)
+    cal = cal_ms()
+    return {**section, "cal_ms": cal, "ref_ms": ref_ms(section, cal)}
+
+
 SECTIONS = {"cli": cli, "dp": dp, "log": log, "engine": engine,
             "select": select_, "gate": gate_}
 
@@ -395,8 +426,7 @@ def main(argv: list[str] | None = None) -> None:
         parser.error(f"sections are {', '.join(SECTIONS)}, not {' '.join(args.sections)}")
     if args.repeats is not None and args.repeats < 1:
         parser.error("--repeats must be at least 1")
-    print(json.dumps({name: {**SECTIONS[name](args.seed, args.repeats or DEFAULT_REPEATS[name]),
-                             "cal_ms": cal_ms()}
+    print(json.dumps({name: run_section(name, args.seed, args.repeats or DEFAULT_REPEATS[name])
                       for name in args.sections or SECTIONS}, indent=1))
 
 
