@@ -706,7 +706,7 @@ def scanned_rollback_value(records, key, old_version):
 @settings(max_examples=150, deadline=None)
 @given(n=st.sampled_from([1, 2, 4]), events=EVENTS, seal_rest=st.booleans())
 def test_value_at_matches_scan_of_records(n, events, seal_rest):
-    """`value_at` reads from the per-key state the value the driver's scan
+    """`value_at` reads from the per-key state the value recover-demo's scan
     of every record found, for each written key and a ghost, at every
     version from below the first to past the last, on interleaved logs and
     their reloads."""
