@@ -131,7 +131,7 @@ class TxnOp:
     write_value: int | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Txn:
     txn_id: int                # ids rise in begin order: higher is younger
     ops: Sequence[TxnOp]
@@ -208,9 +208,13 @@ def _key_names(key_space: int) -> tuple[str, ...]:
 
 
 @lru_cache(maxsize=16)
-def _read_ops(key_space: int) -> tuple[TxnOp, ...]:
-    """One read op per key; ops are never mutated, so windows share them."""
-    return tuple(TxnOp(READ, name) for name in _key_names(key_space))
+def _read_ops(key_space: int) -> np.ndarray:
+    """One read op per key, as a read-only object array that key ids index;
+    ops are never mutated, so windows share them."""
+    ops = np.fromiter((TxnOp(READ, name) for name in _key_names(key_space)),
+                      dtype=object, count=key_space)
+    ops.flags.writeable = False
+    return ops
 
 
 @lru_cache(maxsize=16)
@@ -246,9 +250,11 @@ def _schedule(key_space: int, zipf_theta: float, write_frac: float, txn_len: int
     key_ids = _zipf_cdf(key_space, zipf_theta).searchsorted(gen.random(n_ops), side="right")
     is_write = gen.random(n_ops) < write_frac
     values = gen.integers(0, 1_000_000, size=n_ops)
-    names, reads = _key_names(key_space), _read_ops(key_space)
-    ops = [TxnOp(WRITE, names[k], v) if wr else reads[k]
-           for k, wr, v in zip(key_ids.tolist(), is_write.tolist(), values.tolist())]
+    # every slot gathers its key's shared read op; writes then replace theirs
+    ops = _read_ops(key_space)[key_ids].tolist()
+    names, writes = _key_names(key_space), np.flatnonzero(is_write)
+    for i, k, v in zip(writes.tolist(), key_ids[writes].tolist(), values[writes].tolist()):
+        ops[i] = TxnOp(WRITE, names[k], v)
     return tuple(zip(times, zip(*[iter(ops)] * txn_len)))
 
 
@@ -259,7 +265,8 @@ class Engine:
     count within the current window, ties broken by key. The hot set is
     updated in O(1) per op as accesses are counted (O(hot_key_count) when
     its coldest member changes), and resets with the counts at the start
-    of every window.
+    of every window. Its coldest member is the rank floor: an access that
+    leaves every key on its side of the floor changes only a count.
     """
 
     def __init__(self, log=None, max_workers: int = 4, hot_key_count: int = 8,
@@ -300,11 +307,30 @@ class Engine:
         return txn
 
     def execute_op(self, txn: Txn, op: TxnOp, action: CCAction) -> OpOutcome:
+        """One attempt at `op`: a locked one may block or abort, an optimistic
+        one performs, and one store read gives it both version and value."""
         if txn.status != ACTIVE:
             raise ValueError(f"txn {txn.txn_id} is {txn.status}")
         if action is _LOCK:
             return self._attempt_locked(txn, op)
-        return self._perform_optimistic(txn, op)
+        key = op.key
+        rec = self.store.read(key)
+        buffered = txn.buffered
+        if op.kind == READ:
+            txn.read_versions.setdefault(key, rec.version)
+            txn.reads.append((key, buffered[key] if key in buffered else rec.value))
+        else:
+            txn.write_versions.setdefault(key, rec.version)
+            self._perform(txn, op)
+        txn.next_op += 1
+        txn.op_wait = 0
+        # contended: another txn locks the key (`_conflicts`) or buffers a write
+        holders = self.locks.get(key)
+        if holders and (len(holders) > 1 or txn.txn_id not in holders):
+            return CONFLICT_NOTED
+        if self._write_intents.get(key, 0) > (1 if key in buffered else 0):
+            return CONFLICT_NOTED
+        return OK
 
     def validate_and_commit(self, txn: Txn) -> CommitResult:
         if txn.status != ACTIVE:
@@ -326,8 +352,12 @@ class Engine:
         if self.log is not None:
             self.log.seal_txn(txn.txn_id)
 
-        self._drop_write_intents(txn)
-        self._release_all(txn)
+        if txn.buffered:
+            self._drop_write_intents(txn)
+        if txn.locks:
+            self._release_all(txn)
+        else:   # a blocked op retried optimistically leaves its wait-for entry
+            self.waits_for.pop(txn.txn_id, None)
         txn.status = COMMITTED
         self.active.pop(txn.txn_id, None)
         return _COMMITTED
@@ -431,43 +461,18 @@ class Engine:
         cycle = dfs(start)
         return None if cycle is None else max(cycle)
 
-    # -- optimistic path --------------------------------------------------
-
-    def _perform_optimistic(self, txn: Txn, op: TxnOp) -> OpOutcome:
-        rec = self.store.read(op.key)
-        if op.kind == READ:
-            txn.read_versions.setdefault(op.key, rec.version)
-        else:
-            txn.write_versions.setdefault(op.key, rec.version)
-        self._perform(txn, op, rec)
-        txn.next_op += 1
-        txn.op_wait = 0
-        # contended: another txn locks the key (`_conflicts`) or buffers a write
-        key = op.key
-        holders = self.locks.get(key)
-        if holders and (len(holders) > 1 or txn.txn_id not in holders):
-            return CONFLICT_NOTED
-        if self._write_intents.get(key, 0) > (1 if key in txn.buffered else 0):
-            return CONFLICT_NOTED
-        return OK
-
     # -- shared helpers ---------------------------------------------------
 
-    def _perform(self, txn: Txn, op: TxnOp, rec: Record | None = None) -> None:
-        """Buffer a write or record a read; a read of a key the transaction
-        has not written takes its value from `rec`, the key's committed
-        record if the caller already read it, else from the store."""
+    def _perform(self, txn: Txn, op: TxnOp) -> None:
+        """Buffer a write, or record a read of the txn's own or the committed value."""
         if op.kind == WRITE:
             if op.key not in txn.buffered:
                 self._write_intents[op.key] = self._write_intents.get(op.key, 0) + 1
             txn.buffered[op.key] = op.write_value
+        elif op.key in txn.buffered:
+            txn.reads.append((op.key, txn.buffered[op.key]))
         else:
-            if op.key in txn.buffered:
-                txn.reads.append((op.key, txn.buffered[op.key]))
-            else:
-                if rec is None:
-                    rec = self.store.read(op.key)
-                txn.reads.append((op.key, rec.value))
+            txn.reads.append((op.key, self.store.read(op.key).value))
 
     def _release_all(self, txn: Txn) -> None:
         for key in txn.locks:
@@ -543,6 +548,11 @@ class Engine:
         Each op attempt makes exactly one call each of `self.hot_keys()`,
         `policy` and `self.execute_op`, so wrappers on them see every
         attempt; the window's counters are kept in locals and stored once.
+        The rank floor, the coldest hot key and its count, is kept in locals
+        too. A performed op bumps its key's count in place unless the key is
+        the floor or could enter the hot set, through a free slot or by
+        ranking above the floor; only those go through `_count_access`,
+        after which the floor is read again.
 
         Deterministic in (workload.seed, policy): the arrival schedule is a
         pure function of the spec's fields and the tick count, never of
@@ -561,7 +571,9 @@ class Engine:
 
         self._reset_access_counts()
         counts, hot, lock_overhead = self.access_counts, self._hot, self.lock_overhead
-        max_workers, abort_cost = self.max_workers, self.abort_cost
+        max_workers, abort_cost, slots = self.max_workers, self.abort_cost, self.hot_key_count
+        # while a slot is free every key could enter the hot set; with no slots none can
+        floor_key, floor_count = None, 0 if slots else math.inf
         begin, commit = self.begin, self.validate_and_commit
         hot_keys, execute_op, count_access = self.hot_keys, self.execute_op, self._count_access
         committed = aborted = performed = locked = conflicted = lock_wait = 0
@@ -592,11 +604,19 @@ class Engine:
                         out = execute_op(txn, op, action)
                         status = out.status
                         if status in _PERFORMED:
-                            # a hot key other than the coldest keeps its rank
-                            if key in hot and key != self._coldest_hot:
-                                counts[key] += 1
+                            if key in hot:
+                                count, in_place = counts[key] + 1, key != floor_key
+                            else:
+                                count = counts.get(key, 0) + 1
+                                in_place = (count < floor_count
+                                            or count == floor_count and key > floor_key)
+                            if in_place:
+                                counts[key] = count
                             else:
                                 count_access(key)
+                                floor_key = self._coldest_hot
+                                if len(hot) == slots:
+                                    floor_count = counts[floor_key]
                             performed += 1
                             if action is _LOCK:
                                 locked += 1

@@ -220,6 +220,10 @@ class RedoLog:
         self._txn_lsns[txn_id]      # the lookup adds the txn, with no entries
 
     def append_redo(self, txn_id: int, key: str, new_value: int) -> int:
+        # exact ints only: a bool or float renders a line from_text refuses,
+        # and a str such as "5" would reload as an int
+        if type(txn_id) is not int or type(new_value) is not int:
+            raise ValueError(f"txn id and value must be ints, got {txn_id!r} and {new_value!r}")
         latest = self._latest.get(key)
         if latest is None and not _is_key(key):     # a held key matched already
             raise ValueError(f"illegal key for log: {key!r}")

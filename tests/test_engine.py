@@ -159,11 +159,12 @@ def test_deadlock_aborts_youngest():
 
 
 def test_read_own_buffered_write():
-    eng = Engine()
-    txn = eng.begin([w("a", 42), r("a")])
-    eng.execute_op(txn, txn.ops[0], LOCK)
-    eng.execute_op(txn, txn.ops[1], LOCK)
-    assert txn.reads == [("a", 42)]
+    for write_action, read_action in itertools.product((LOCK, OPT), repeat=2):
+        eng = Engine()
+        txn = eng.begin([w("a", 42), r("a")])
+        eng.execute_op(txn, txn.ops[0], write_action)
+        eng.execute_op(txn, txn.ops[1], read_action)
+        assert txn.reads == [("a", 42)]
 
 
 def test_record_checksum_roundtrip():
@@ -359,6 +360,7 @@ class CheckedEngine(Engine):
         self.attempts = self.checks = 0
         stats = super().run_window(workload, policy, duration)
         self.assert_hot_set_matches_sort()
+        assert not self.waits_for
         assert self.checks == self.attempts >= stats.op_count
         return stats
 
@@ -368,12 +370,22 @@ class CheckedEngine(Engine):
 
     def execute_op(self, txn, op, action):
         out = super().execute_op(txn, op, action)
+        # a locked attempt leaves a wait-for entry iff it blocked (an
+        # optimistic retry of a blocked op leaves the entry in place)
+        if action is LOCK:
+            assert (txn.txn_id in self.waits_for) == (out.status is OpStatus.BLOCKED)
         self.assert_hot_set_matches_sort()
         assert_contended_matches_scan(self, txn, op, action, out)
         assert_lock_state_matches_scan(self, {o.key for t in self.active.values()
                                               for o in t.ops})
         self.checks += 1
         return out
+
+    def validate_and_commit(self, txn):
+        result = super().validate_and_commit(txn)
+        # whether or not it held a lock, a finished txn waits for nothing
+        assert txn.txn_id not in self.waits_for
+        return result
 
     def assert_hot_set_matches_sort(self):
         assert super().hot_keys() == reference_hot_keys(self.access_counts,
@@ -383,6 +395,11 @@ class CheckedEngine(Engine):
 actions = st.sampled_from((CCAction.LOCK_IMMEDIATE, CCAction.OPTIMISTIC_NO_LOCK))
 
 
+# a txn whose locked write to a cold key blocked retries it optimistically
+# once the key turns hot, and commits holding no lock but still waiting
+@example(hot_key_count=1, workers=2,
+         table={(READ, HOT): LOCK, (READ, COLD): OPT, (WRITE, HOT): OPT, (WRITE, COLD): LOCK},
+         key_space=2, zipf_theta=0.0, write_frac=0.3, seed=1)
 @settings(max_examples=60, deadline=None)
 @given(
     hot_key_count=st.integers(0, 10),
@@ -485,11 +502,50 @@ def test_window_schedules_match_pinned_digest():
         "ebbcd94be3bee0193f178e498f8e2b186da173966884be176382680475a3869c")
 
 
+# -- hot-set upkeep -------------------------------------------------------------
+
+class CountSpyEngine(Engine):
+    """Requires of every `_count_access` call that it changes the hot set's
+    membership or its coldest member: the key takes a free slot or displaces
+    the coldest member, or it is the coldest member. Any other access leaves
+    the hot set as it was, so `run_window` must count it in place."""
+
+    def _count_access(self, key):
+        entered, coldest = key not in self._hot, self._coldest_hot
+        super()._count_access(key)
+        entered = entered and key in self._hot
+        assert entered or key == coldest, f"{key!r} counted through _count_access"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hot_key_count=st.integers(0, 4),
+    workers=st.integers(1, 8),
+    table=st.sampled_from(TABLES),
+    key_space=st.integers(1, 64),
+    zipf_theta=st.sampled_from((0.0, 0.8, 1.2)),
+    write_frac=st.sampled_from((0.0, 0.3, 0.8)),
+    seed=st.integers(0, 2**16),
+)
+def test_count_access_only_where_the_hot_set_moves(hot_key_count, workers, table,
+                                                  key_space, zipf_theta, write_frac, seed):
+    eng = CountSpyEngine(max_workers=workers, hot_key_count=hot_key_count)
+    policy = lambda kind, heat: table[(kind, heat)]  # noqa: E731
+    for window in range(2):
+        spec = WorkloadSpec(key_space=key_space, zipf_theta=zipf_theta,
+                            write_frac=write_frac, txn_len=3, arrival_rate=3.0,
+                            seed=seed + window)
+        stats = eng.run_window(spec, policy, duration=30)
+        assert eng.hot_keys() == reference_hot_keys(eng.access_counts, hot_key_count)
+        assert sum(eng.access_counts.values()) == stats.op_count
+
+
 # -- window loop oracle ---------------------------------------------------------
 
 class ReferenceEngine(Engine):
     """The op path as it stood before it shared its outcomes: validation,
-    the locked and optimistic attempts and the deadlock search, verbatim."""
+    the locked and optimistic attempts, the perform step and the deadlock
+    search, verbatim."""
 
     def validate_and_commit(self, txn):
         if txn.status != ACTIVE:
@@ -575,6 +631,13 @@ class ReferenceEngine(Engine):
         cycle = dfs(start)
         return None if cycle is None else max(cycle)
 
+    def execute_op(self, txn, op, action):
+        if txn.status != ACTIVE:
+            raise ValueError(f"txn {txn.txn_id} is {txn.status}")
+        if action is CCAction.LOCK_IMMEDIATE:
+            return self._attempt_locked(txn, op)
+        return self._perform_optimistic(txn, op)
+
     def _perform_optimistic(self, txn, op):
         rec = self.store.read(op.key)
         if op.kind == READ:
@@ -587,6 +650,19 @@ class ReferenceEngine(Engine):
         if self._contended(txn, op.key):
             return OpOutcome(OpStatus.CONFLICT_NOTED)
         return OpOutcome(OpStatus.OK)
+
+    def _perform(self, txn, op, rec=None):
+        if op.kind == WRITE:
+            if op.key not in txn.buffered:
+                self._write_intents[op.key] = self._write_intents.get(op.key, 0) + 1
+            txn.buffered[op.key] = op.write_value
+        else:
+            if op.key in txn.buffered:
+                txn.reads.append((op.key, txn.buffered[op.key]))
+            else:
+                if rec is None:
+                    rec = self.store.read(op.key)
+                txn.reads.append((op.key, rec.value))
 
     def _contended(self, txn, key):
         if self._conflicts(txn, key):

@@ -118,6 +118,25 @@ def test_append_refuses_illegal_key_before_appending(key):
     assert RedoLog.from_text(log.to_text(), log.enclave).verify_log()
 
 
+# each of these would render a line that from_text refuses, or one that
+# reads back as another value ("5" as 5)
+@pytest.mark.parametrize("txn_id, value", [(2, 1.5), (2, True), (2, "5"), (2, None),
+                                           (True, 5), (2.0, 5), ("2", 5)])
+def test_append_refuses_non_int_txn_or_value_before_appending(txn_id, value):
+    log = make_log(n=1)
+    append_and_seal(log, 1, [("a", 1)])
+    log.register_txn(2)
+    before = log.to_text()
+    with pytest.raises(ValueError, match="must be ints"):
+        log.append_redo(txn_id, "a", value)
+    assert log.to_text() == before
+    log.append_redo(2, "a", 5)
+    log.seal_txn(2)
+    loaded = RedoLog.from_text(log.to_text(), log.enclave)
+    assert loaded.verify_log()
+    assert loaded.recover("a").value == 5
+
+
 @pytest.mark.parametrize("line", ["R|0|1|\ud800|5|1", "A|0|a\udfff|5|4|4"])
 def test_load_refuses_key_utf8_cannot_encode(line):
     log = make_log()
