@@ -261,6 +261,9 @@ def _schedule(key_space: int, zipf_theta: float, write_frac: float, txn_len: int
 class Engine:
     """Single-owner engine; one scenario drives it at a time.
 
+    Every op attempt runs through `execute_op`, and every commit and abort
+    ends in `_end`, which drops all the txn holds.
+
     A key is hot when it is among the top `hot_key_count` keys by access
     count within the current window, ties broken by key. The hot set is
     updated in O(1) per op as accesses are counted (O(hot_key_count) when
@@ -307,23 +310,57 @@ class Engine:
         return txn
 
     def execute_op(self, txn: Txn, op: TxnOp, action: CCAction) -> OpOutcome:
-        """One attempt at `op`: a locked one may block or abort, an optimistic
-        one performs, and one store read gives it both version and value."""
+        """One attempt at `op`, by the engine's one op path. A locked attempt
+        takes its lock first: it returns BLOCKED while another txn holds a
+        conflicting lock, or ABORTED when the deadlock search picks it as
+        victim. Both kinds then perform the op from at most one store read:
+        a read records its value, an optimistic op also its key's version (a
+        locked write reads nothing), and a write buffers its value. A locked
+        op returns WAITED if it blocked before, an optimistic one
+        CONFLICT_NOTED if another txn locks or buffers its key; else OK."""
         if txn.status != ACTIVE:
             raise ValueError(f"txn {txn.txn_id} is {txn.status}")
-        if action is _LOCK:
-            return self._attempt_locked(txn, op)
-        key = op.key
-        rec = self.store.read(key)
+        key, locked = op.key, action is _LOCK
+        if locked:
+            mode = "X" if op.kind == WRITE else "S"
+            # with no other holder there is no blocker, so no set to build
+            blockers = self._conflicts(txn, key) and self._blockers(txn, key, mode)
+            if blockers:
+                txn.op_wait += 1
+                self.waits_for[txn.txn_id] = blockers
+                victim = self._find_deadlock_victim(txn.txn_id)
+                if victim is None:
+                    return OpOutcome(OpStatus.BLOCKED, txn.op_wait)
+                vic = self.active[victim]
+                self.abort(vic, "deadlock")
+                if vic is txn:
+                    return OpOutcome(OpStatus.ABORTED, txn.op_wait)
+                if self._blockers(txn, key, mode):
+                    return OpOutcome(OpStatus.BLOCKED, txn.op_wait)
+            holders = self.locks.setdefault(key, {})
+            cur = holders.get(txn.txn_id)
+            if cur != "X":  # never downgrade an exclusive lock
+                holders[txn.txn_id] = mode if cur is None else "X"
+            txn.locks[key] = holders[txn.txn_id]
+            self.waits_for.pop(txn.txn_id, None)
+
         buffered = txn.buffered
         if op.kind == READ:
-            txn.read_versions.setdefault(key, rec.version)
+            rec = self.store.read(key)
+            if not locked:
+                txn.read_versions.setdefault(key, rec.version)
             txn.reads.append((key, buffered[key] if key in buffered else rec.value))
         else:
-            txn.write_versions.setdefault(key, rec.version)
-            self._perform(txn, op)
-        txn.next_op += 1
+            if not locked:
+                txn.write_versions.setdefault(key, self.store.read(key).version)
+            if key not in buffered:
+                self._write_intents[key] = self._write_intents.get(key, 0) + 1
+            buffered[key] = op.write_value
+        waited = txn.op_wait
         txn.op_wait = 0
+        txn.next_op += 1
+        if locked:
+            return OpOutcome(OpStatus.WAITED, waited) if waited else OK
         # contended: another txn locks the key (`_conflicts`) or buffers a write
         holders = self.locks.get(key)
         if holders and (len(holders) > 1 or txn.txn_id not in holders):
@@ -352,14 +389,7 @@ class Engine:
         if self.log is not None:
             self.log.seal_txn(txn.txn_id)
 
-        if txn.buffered:
-            self._drop_write_intents(txn)
-        if txn.locks:
-            self._release_all(txn)
-        else:   # a blocked op retried optimistically leaves its wait-for entry
-            self.waits_for.pop(txn.txn_id, None)
-        txn.status = COMMITTED
-        self.active.pop(txn.txn_id, None)
+        self._end(txn, COMMITTED)
         return _COMMITTED
 
     def _validates(self, txn: Txn) -> bool:
@@ -380,46 +410,28 @@ class Engine:
     def abort(self, txn: Txn, reason: str = "user") -> None:
         if txn.status != ACTIVE:
             raise ValueError(f"txn {txn.txn_id} is {txn.status}")
-        self._release_all(txn)
-        self._drop_write_intents(txn)
+        self._end(txn, ABORTED)
         txn.buffered.clear()
-        txn.status = ABORTED
         txn.abort_reason = reason
+
+    def _end(self, txn: Txn, status: str) -> None:
+        """End `txn` as `status`: drop its write intents, locks and wait-for
+        entry, and retire it from `active`."""
+        for key in txn.buffered:
+            self._write_intents[key] -= 1
+            if not self._write_intents[key]:
+                del self._write_intents[key]
+        for key in txn.locks:
+            holders = self.locks[key]
+            del holders[txn.txn_id]
+            if not holders:
+                del self.locks[key]
+        txn.locks.clear()
+        self.waits_for.pop(txn.txn_id, None)
+        txn.status = status
         self.active.pop(txn.txn_id, None)
 
-    # -- locked path ------------------------------------------------------
-
-    def _attempt_locked(self, txn: Txn, op: TxnOp) -> OpOutcome:
-        mode = "X" if op.kind == WRITE else "S"
-        # with no other holder there is no blocker, so no set to build
-        blockers = self._conflicts(txn, op.key) and self._blockers(txn, op.key, mode)
-        if blockers:
-            txn.op_wait += 1
-            self.waits_for[txn.txn_id] = blockers
-            victim = self._find_deadlock_victim(txn.txn_id)
-            if victim is None:
-                return OpOutcome(OpStatus.BLOCKED, txn.op_wait)
-            vic = self.active[victim]
-            self.abort(vic, "deadlock")
-            if vic is txn:
-                return OpOutcome(OpStatus.ABORTED, txn.op_wait)
-            if self._blockers(txn, op.key, mode):
-                return OpOutcome(OpStatus.BLOCKED, txn.op_wait)
-
-        holders = self.locks.setdefault(op.key, {})
-        cur = holders.get(txn.txn_id)
-        if cur != "X":  # never downgrade an exclusive lock
-            holders[txn.txn_id] = mode if cur is None else "X"
-        txn.locks[op.key] = holders[txn.txn_id]
-        self.waits_for.pop(txn.txn_id, None)
-
-        self._perform(txn, op)
-        waited = txn.op_wait
-        txn.op_wait = 0
-        txn.next_op += 1
-        if waited > 0:
-            return OpOutcome(OpStatus.WAITED, waited)
-        return OK
+    # -- locks and the wait-for graph ---------------------------------------
 
     def _blockers(self, txn: Txn, key: str, mode: str) -> set[int]:
         """Other holders of `key` whose locks conflict with `mode`; the lock
@@ -460,37 +472,6 @@ class Engine:
 
         cycle = dfs(start)
         return None if cycle is None else max(cycle)
-
-    # -- shared helpers ---------------------------------------------------
-
-    def _perform(self, txn: Txn, op: TxnOp) -> None:
-        """Buffer a write, or record a read of the txn's own or the committed value."""
-        if op.kind == WRITE:
-            if op.key not in txn.buffered:
-                self._write_intents[op.key] = self._write_intents.get(op.key, 0) + 1
-            txn.buffered[op.key] = op.write_value
-        elif op.key in txn.buffered:
-            txn.reads.append((op.key, txn.buffered[op.key]))
-        else:
-            txn.reads.append((op.key, self.store.read(op.key).value))
-
-    def _release_all(self, txn: Txn) -> None:
-        for key in txn.locks:
-            holders = self.locks.get(key)
-            if holders:
-                holders.pop(txn.txn_id, None)
-                if not holders:
-                    del self.locks[key]
-        txn.locks.clear()
-        self.waits_for.pop(txn.txn_id, None)
-
-    def _drop_write_intents(self, txn: Txn) -> None:
-        for key in txn.buffered:
-            left = self._write_intents[key] - 1
-            if left:
-                self._write_intents[key] = left
-            else:
-                del self._write_intents[key]
 
     def lock_table_empty(self) -> bool:
         return not self.locks

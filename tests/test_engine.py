@@ -544,8 +544,8 @@ def test_count_access_only_where_the_hot_set_moves(hot_key_count, workers, table
 
 class ReferenceEngine(Engine):
     """The op path as it stood before it shared its outcomes: validation,
-    the locked and optimistic attempts, the perform step and the deadlock
-    search, verbatim."""
+    the locked and optimistic attempts, the perform step, the deadlock
+    search, abort and its lock and write-intent release, verbatim."""
 
     def validate_and_commit(self, txn):
         if txn.status != ACTIVE:
@@ -577,6 +577,16 @@ class ReferenceEngine(Engine):
         txn.status = COMMITTED
         self.active.pop(txn.txn_id, None)
         return CommitResult(COMMITTED)
+
+    def abort(self, txn, reason="user"):
+        if txn.status != ACTIVE:
+            raise ValueError(f"txn {txn.txn_id} is {txn.status}")
+        self._release_all(txn)
+        self._drop_write_intents(txn)
+        txn.buffered.clear()
+        txn.status = ABORTED
+        txn.abort_reason = reason
+        self.active.pop(txn.txn_id, None)
 
     def _attempt_locked(self, txn, op):
         mode = "X" if op.kind == WRITE else "S"
@@ -663,6 +673,24 @@ class ReferenceEngine(Engine):
                 if rec is None:
                     rec = self.store.read(op.key)
                 txn.reads.append((op.key, rec.value))
+
+    def _release_all(self, txn):
+        for key in txn.locks:
+            holders = self.locks.get(key)
+            if holders:
+                holders.pop(txn.txn_id, None)
+                if not holders:
+                    del self.locks[key]
+        txn.locks.clear()
+        self.waits_for.pop(txn.txn_id, None)
+
+    def _drop_write_intents(self, txn):
+        for key in txn.buffered:
+            left = self._write_intents[key] - 1
+            if left:
+                self._write_intents[key] = left
+            else:
+                del self._write_intents[key]
 
     def _contended(self, txn, key):
         if self._conflicts(txn, key):
