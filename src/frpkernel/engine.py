@@ -203,15 +203,10 @@ def zipf_probs(n: int, theta: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)   # a process runs windows over a few key spaces
-def _key_names(key_space: int) -> tuple[str, ...]:
-    return tuple(f"k{i:03d}" for i in range(key_space))
-
-
-@lru_cache(maxsize=16)
 def _read_ops(key_space: int) -> np.ndarray:
     """One read op per key, as a read-only object array that key ids index;
     ops are never mutated, so windows share them."""
-    ops = np.fromiter((TxnOp(READ, name) for name in _key_names(key_space)),
+    ops = np.fromiter((TxnOp(READ, f"k{i:03d}") for i in range(key_space)),
                       dtype=object, count=key_space)
     ops.flags.writeable = False
     return ops
@@ -252,17 +247,16 @@ def _schedule(key_space: int, zipf_theta: float, write_frac: float, txn_len: int
     values = gen.integers(0, 1_000_000, size=n_ops)
     # every slot gathers its key's shared read op; writes then replace theirs
     ops = _read_ops(key_space)[key_ids].tolist()
-    names, writes = _key_names(key_space), np.flatnonzero(is_write)
-    for i, k, v in zip(writes.tolist(), key_ids[writes].tolist(), values[writes].tolist()):
-        ops[i] = TxnOp(WRITE, names[k], v)
+    writes = np.flatnonzero(is_write)
+    for i, v in zip(writes.tolist(), values[writes].tolist()):
+        ops[i] = TxnOp(WRITE, ops[i].key, v)
     return tuple(zip(times, zip(*[iter(ops)] * txn_len)))
 
 
 class Engine:
-    """Single-owner engine; one scenario drives it at a time.
-
-    Every op attempt runs through `execute_op`, and every commit and abort
-    ends in `_end`, which drops all the txn holds.
+    """Single-owner engine; one scenario drives it at a time. Every op
+    attempt runs through `execute_op`, and every commit and abort ends in
+    `_end`, which drops all the txn holds.
 
     A key is hot when it is among the top `hot_key_count` keys by access
     count within the current window, ties broken by key. The hot set is
@@ -310,14 +304,12 @@ class Engine:
         return txn
 
     def execute_op(self, txn: Txn, op: TxnOp, action: CCAction) -> OpOutcome:
-        """One attempt at `op`, by the engine's one op path. A locked attempt
-        takes its lock first: it returns BLOCKED while another txn holds a
-        conflicting lock, or ABORTED when the deadlock search picks it as
-        victim. Both kinds then perform the op from at most one store read:
-        a read records its value, an optimistic op also its key's version (a
-        locked write reads nothing), and a write buffers its value. A locked
-        op returns WAITED if it blocked before, an optimistic one
-        CONFLICT_NOTED if another txn locks or buffers its key; else OK."""
+        """One attempt at `op`, the engine's only op path. A locked attempt
+        first takes its lock, or returns BLOCKED, or ABORTED as a deadlock
+        victim. Then either kind performs the op from at most one store read,
+        an optimistic op recording its key's version too, and returns OK,
+        WAITED (a locked op that blocked before) or CONFLICT_NOTED (an
+        optimistic op on a key another txn locks or buffers a write to)."""
         if txn.status != ACTIVE:
             raise ValueError(f"txn {txn.txn_id} is {txn.status}")
         key, locked = op.key, action is _LOCK
@@ -329,13 +321,12 @@ class Engine:
                 txn.op_wait += 1
                 self.waits_for[txn.txn_id] = blockers
                 victim = self._find_deadlock_victim(txn.txn_id)
-                if victim is None:
-                    return OpOutcome(OpStatus.BLOCKED, txn.op_wait)
-                vic = self.active[victim]
-                self.abort(vic, "deadlock")
-                if vic is txn:
-                    return OpOutcome(OpStatus.ABORTED, txn.op_wait)
-                if self._blockers(txn, key, mode):
+                if victim is not None:
+                    vic = self.active[victim]
+                    self.abort(vic, "deadlock")
+                    if vic is txn:
+                        return OpOutcome(OpStatus.ABORTED, txn.op_wait)
+                if victim is None or self._blockers(txn, key, mode):
                     return OpOutcome(OpStatus.BLOCKED, txn.op_wait)
             holders = self.locks.setdefault(key, {})
             cur = holders.get(txn.txn_id)
@@ -361,11 +352,12 @@ class Engine:
         txn.next_op += 1
         if locked:
             return OpOutcome(OpStatus.WAITED, waited) if waited else OK
+        if waited:      # the op blocked under a lock, and went through without one
+            self.waits_for.pop(txn.txn_id)
         # contended: another txn locks the key (`_conflicts`) or buffers a write
         holders = self.locks.get(key)
-        if holders and (len(holders) > 1 or txn.txn_id not in holders):
-            return CONFLICT_NOTED
-        if self._write_intents.get(key, 0) > (1 if key in buffered else 0):
+        if (holders and (len(holders) > 1 or txn.txn_id not in holders)
+                or self._write_intents.get(key, 0) > (1 if key in buffered else 0)):
             return CONFLICT_NOTED
         return OK
 
@@ -415,8 +407,7 @@ class Engine:
         txn.abort_reason = reason
 
     def _end(self, txn: Txn, status: str) -> None:
-        """End `txn` as `status`: drop its write intents, locks and wait-for
-        entry, and retire it from `active`."""
+        """Drop `txn`'s write intents, locks and wait-for entry; retire it as `status`."""
         for key in txn.buffered:
             self._write_intents[key] -= 1
             if not self._write_intents[key]:
@@ -472,9 +463,6 @@ class Engine:
 
         cycle = dfs(start)
         return None if cycle is None else max(cycle)
-
-    def lock_table_empty(self) -> bool:
-        return not self.locks
 
     # -- window simulation --------------------------------------------------
 
@@ -624,8 +612,9 @@ class Engine:
                 self.abort(txn, "window_end")
                 carryover += 1
 
-        assert self.lock_table_empty(), "locks leaked past window end"
+        assert not self.locks, "locks leaked past window end"
         assert not self._write_intents, "write intents leaked past window end"
+        assert not self.waits_for, "wait-for entries leaked past window end"
         return ExecStats(committed_count=committed, aborted_count=aborted,
                          total_lock_wait=lock_wait, op_count=performed, locked_op_count=locked,
                          conflicted_op_count=conflicted, carryover_count=carryover)

@@ -49,7 +49,7 @@ def run_schedule(txn_specs, actions, order, engine=None):
         guard += 1
         assert guard < 10_000, "schedule failed to drain"
 
-    assert eng.lock_table_empty()
+    assert not eng.locks
     committed = [i for i, t in enumerate(txns) if t.status == COMMITTED]
     final = {k: r.value for k, r in eng.store.records.items()}
     reads = {i: list(txns[i].reads) for i in committed}

@@ -155,7 +155,22 @@ def test_deadlock_aborts_youngest():
     # the older txn can now finish
     assert eng.execute_op(older, older.ops[1], LOCK).status is OpStatus.WAITED
     assert eng.validate_and_commit(older).status == COMMITTED
-    assert eng.lock_table_empty()
+    assert not eng.locks
+
+
+def test_blocked_op_performed_optimistically_waits_no_more():
+    """A txn whose locked write blocked, then went through optimistically,
+    waits for nothing: a later wait on its lock is no deadlock."""
+    eng = Engine()
+    t1 = eng.begin([w("a", 1), w("b", 1)])
+    t2 = eng.begin([w("b", 2), w("a", 2)])
+    eng.execute_op(t1, t1.ops[0], LOCK)
+    eng.execute_op(t2, t2.ops[0], LOCK)
+    assert eng.execute_op(t2, t2.ops[1], LOCK).status is OpStatus.BLOCKED
+    assert eng.execute_op(t2, t2.ops[1], OPT).status is OpStatus.CONFLICT_NOTED
+    assert eng.execute_op(t1, t1.ops[1], LOCK).status is OpStatus.BLOCKED
+    assert t2.status == ACTIVE
+    assert eng.waits_for == {t1.txn_id: {t2.txn_id}}
 
 
 def test_read_own_buffered_write():
@@ -210,7 +225,7 @@ def test_skewed_writes_optimistic_aborts_exceed_locking():
         spec = WorkloadSpec(key_space=8, zipf_theta=1.2, write_frac=0.8,
                             txn_len=3, arrival_rate=4.0, seed=seed)
         stats = eng.run_window(spec, policy, duration=40)
-        assert eng.lock_table_empty()
+        assert not eng.locks
         total = stats.committed_count + stats.aborted_count
         return stats.aborted_count / total
 
@@ -370,10 +385,8 @@ class CheckedEngine(Engine):
 
     def execute_op(self, txn, op, action):
         out = super().execute_op(txn, op, action)
-        # a locked attempt leaves a wait-for entry iff it blocked (an
-        # optimistic retry of a blocked op leaves the entry in place)
-        if action is LOCK:
-            assert (txn.txn_id in self.waits_for) == (out.status is OpStatus.BLOCKED)
+        # whatever its action, an attempt leaves a wait-for entry iff it blocked
+        assert (txn.txn_id in self.waits_for) == (out.status is OpStatus.BLOCKED)
         self.assert_hot_set_matches_sort()
         assert_contended_matches_scan(self, txn, op, action, out)
         assert_lock_state_matches_scan(self, {o.key for t in self.active.values()
@@ -396,7 +409,7 @@ actions = st.sampled_from((CCAction.LOCK_IMMEDIATE, CCAction.OPTIMISTIC_NO_LOCK)
 
 
 # a txn whose locked write to a cold key blocked retries it optimistically
-# once the key turns hot, and commits holding no lock but still waiting
+# once the key turns hot, and then waits no more
 @example(hot_key_count=1, workers=2,
          table={(READ, HOT): LOCK, (READ, COLD): OPT, (WRITE, HOT): OPT, (WRITE, COLD): LOCK},
          key_space=2, zipf_theta=0.0, write_frac=0.3, seed=1)
@@ -440,7 +453,7 @@ steps = st.lists(st.tuples(st.sampled_from(("begin", "step", "abort")),
 @given(plans=st.lists(ops, min_size=1, max_size=6), script=steps)
 def test_contended_matches_scan_of_active_buffers(plans, script):
     eng = Engine()
-    txns = []
+    txns, blocked = [], set()      # ids of txns whose last attempt blocked
     for step, i, action in script:
         live = [t for t in txns if t.status == ACTIVE]
         if step == "begin" or not live:
@@ -454,14 +467,20 @@ def test_contended_matches_scan_of_active_buffers(plans, script):
                 op = txn.ops[txn.next_op]
                 out = eng.execute_op(txn, op, action)
                 assert_contended_matches_scan(eng, txn, op, action, out)
+                if out.status is OpStatus.BLOCKED:
+                    blocked.add(txn.txn_id)
+                else:
+                    blocked.discard(txn.txn_id)
             else:
                 eng.validate_and_commit(txn)
         else:
             eng.abort(live[i % len(live)])
         assert_lock_state_matches_scan(eng, KEYS[:3])
+        # the wait-for graph holds exactly the active txns whose last attempt blocked
+        assert set(eng.waits_for) == blocked & set(eng.active)
     for txn in list(eng.active.values()):
         eng.abort(txn)
-    assert eng.lock_table_empty()
+    assert not eng.locks
     assert not eng._write_intents
 
 
@@ -545,7 +564,9 @@ def test_count_access_only_where_the_hot_set_moves(hot_key_count, workers, table
 class ReferenceEngine(Engine):
     """The op path as it stood before it shared its outcomes: validation,
     the locked and optimistic attempts, the perform step, the deadlock
-    search, abort and its lock and write-intent release, verbatim."""
+    search, abort and its lock and write-intent release, verbatim but for
+    one fix: an optimistic attempt drops the wait-for entry of an op that
+    blocked before."""
 
     def validate_and_commit(self, txn):
         if txn.status != ACTIVE:
@@ -656,6 +677,8 @@ class ReferenceEngine(Engine):
             txn.write_versions.setdefault(op.key, rec.version)
         self._perform(txn, op, rec)
         txn.next_op += 1
+        if txn.op_wait:     # the engine's fix: a blocked op retried optimistically waits no more
+            self.waits_for.pop(txn.txn_id)
         txn.op_wait = 0
         if self._contended(txn, op.key):
             return OpOutcome(OpStatus.CONFLICT_NOTED)
@@ -753,7 +776,7 @@ def reference_run_window(eng: Engine, workload: WorkloadSpec, policy,
             stats.carryover_count += 1
     stats.carryover_count += len(arrivals) + len(retries)
 
-    assert eng.lock_table_empty(), "locks leaked past window end"
+    assert not eng.locks, "locks leaked past window end"
     assert not eng._write_intents, "write intents leaked past window end"
     return stats
 
@@ -791,6 +814,13 @@ workload_specs = st.builds(
 @pytest.mark.parametrize("table", TABLES,
                          ids=["".join("L" if a is LOCK else "O" for a in t.values())
                               for t in TABLES])
+# tables that lock hot writes only: a locked write that blocked is retried
+# optimistically once its key turns cold, and a left wait-for edge would
+# then pick deadlock victims the engine does not
+@example(workers=11, hot_key_count=3, lock_overhead=0, abort_cost=1, logged=False,
+         state=SystemState(contention_index=0.7, avg_lock_wait=4.0),
+         windows=[(WorkloadSpec(key_space=10, zipf_theta=0.8, write_frac=1.0, txn_len=5,
+                                arrival_rate=4.0, seed=9726), 12)])
 @settings(max_examples=25, deadline=None)
 @given(
     workers=st.integers(1, 16),
