@@ -256,7 +256,7 @@ def _schedule(key_space: int, zipf_theta: float, write_frac: float, txn_len: int
 class Engine:
     """Single-owner engine; one scenario drives it at a time. Every op
     attempt runs through `execute_op`, and every commit and abort ends in
-    `_end`, which drops all the txn holds.
+    `_end`, which drops everything the txn holds.
 
     A key is hot when it is among the top `hot_key_count` keys by access
     count within the current window, ties broken by key. The hot set is

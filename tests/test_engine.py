@@ -449,6 +449,10 @@ steps = st.lists(st.tuples(st.sampled_from(("begin", "step", "abort")),
 @example(plans=[[(WRITE, "a")], [(READ, "a"), (WRITE, "a"), (READ, "a")]],
          script=[("begin", 0, OPT), ("begin", 1, OPT), ("step", 0, OPT),
                  ("step", 1, OPT), ("step", 1, OPT), ("step", 1, OPT)])
+# a locked write that blocked, retried optimistically
+@example(plans=[[(WRITE, "a"), (WRITE, "b")], [(WRITE, "b"), (WRITE, "a")]],
+         script=[("begin", 0, OPT), ("begin", 1, OPT), ("step", 0, LOCK),
+                 ("step", 1, LOCK), ("step", 1, LOCK), ("step", 1, OPT)])
 @settings(max_examples=200, deadline=None)
 @given(plans=st.lists(ops, min_size=1, max_size=6), script=steps)
 def test_contended_matches_scan_of_active_buffers(plans, script):

@@ -135,6 +135,30 @@ def test_log_section_takes_repeats_round_robin(monkeypatch, capsys):
                              "recover_ms"]
 
 
+def test_engine_section_takes_repeats_round_robin(monkeypatch, capsys):
+    """Each pass times every cell once, so a cell's fastest repeat is taken
+    over the whole run, not over one stretch of it."""
+    runs = []
+
+    class SpyEngine(bench_matrix.Engine):
+        def run_window(self, workload, policy, duration):
+            runs.append((workload.key_space, self.max_workers))
+            return super().run_window(workload, policy, duration)
+
+    monkeypatch.setattr(bench_matrix, "Engine", SpyEngine)
+    monkeypatch.setattr(bench_matrix, "KEY_SPACES", (6, 24))
+    monkeypatch.setattr(bench_matrix, "WORKERS", (1, 4))
+    monkeypatch.setattr(bench_matrix, "WINDOWS", 2)
+    bench_matrix.main(["engine", "--seed", "0", "--repeats", "3"])
+    grid = json.loads(capsys.readouterr().out)["engine"]["key_spaces"]
+    cells = [(6, 1), (6, 4), (24, 1), (24, 4)]
+    assert runs == [cell for cell in cells for _ in range(2)] * 3
+    assert {ks: list(row) for ks, row in grid.items()} == {"6": ["1", "4"], "24": ["1", "4"]}
+    for row in grid.values():
+        for cell in row.values():
+            assert list(cell) == ["ops", "committed", "aborted", "ms", "ops_per_s"]
+
+
 def test_sweep_driver_scales_times_to_ref_ms():
     """Every time, and only times, at any depth: a host on which the
     calibration kernel runs in half REF_CAL_S reads twice its ms in ref ms;
