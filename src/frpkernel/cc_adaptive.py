@@ -36,6 +36,12 @@ class ShiftThresholds:
     abort_rate: float | None = 0.5
     contention_index: float | None = 0.5
 
+    def __post_init__(self):
+        # the bounds of the cc_sim.thresholds block of the scenario configs
+        for name, limit in vars(self).items():
+            if limit is not None and not limit >= 0:
+                raise ValueError(f"{name} must be >= 0 or None, got {limit}")
+
 
 def observe(stats: ExecStats, window: float) -> SystemState:
     if window <= 0:

@@ -259,11 +259,10 @@ class Engine:
     `_end`, which drops everything the txn holds.
 
     A key is hot when it is among the top `hot_key_count` keys by access
-    count within the current window, ties broken by key. The hot set is
-    updated in O(1) per op as accesses are counted (O(hot_key_count) when
-    its coldest member changes), and resets with the counts at the start
-    of every window. Its coldest member is the rank floor: an access that
-    leaves every key on its side of the floor changes only a count.
+    count within the current window, ties broken by key. `run_window` keeps
+    it as it counts accesses, in O(1) per op (O(hot_key_count) when its
+    coldest member, the rank floor, changes), and resets it with the counts
+    at the start of every window.
     """
 
     def __init__(self, log=None, max_workers: int = 4, hot_key_count: int = 8,
@@ -474,31 +473,11 @@ class Engine:
     def _reset_access_counts(self) -> None:
         self.access_counts: dict[str, int] = {}
         self._hot: set[str] = set()
-        self._coldest_hot: str | None = None    # lowest-ranked member of _hot
 
     def _coldest(self) -> str | None:
+        """The hot set's lowest-ranked member by (-count, key): the rank floor."""
         counts = self.access_counts
         return max(self._hot, key=lambda k: (-counts[k], k), default=None)
-
-    def _count_access(self, key: str) -> None:
-        """Bump `key`'s access count and keep the hot set the top
-        `hot_key_count` keys by (-count, key). Only `key` moves up the
-        ranking, so it either is hot already, takes a free slot, or
-        displaces the coldest member."""
-        count = self.access_counts.get(key, 0) + 1
-        self.access_counts[key] = count
-        hot, coldest = self._hot, self._coldest_hot
-        if key in hot:
-            if key == coldest:
-                self._coldest_hot = self._coldest()
-        elif len(hot) < self.hot_key_count:
-            hot.add(key)
-            if coldest is None or (-count, key) > (-self.access_counts[coldest], coldest):
-                self._coldest_hot = key
-        elif coldest is not None and (-count, key) < (-self.access_counts[coldest], coldest):
-            hot.remove(coldest)
-            hot.add(key)
-            self._coldest_hot = self._coldest()
 
     def run_window(self, workload: WorkloadSpec, policy, duration: float) -> ExecStats:
         """Run one fixed-length window; `policy(kind, heat) -> CCAction` picks actions.
@@ -517,11 +496,12 @@ class Engine:
         Each op attempt makes exactly one call each of `self.hot_keys()`,
         `policy` and `self.execute_op`, so wrappers on them see every
         attempt; the window's counters are kept in locals and stored once.
-        The rank floor, the coldest hot key and its count, is kept in locals
-        too. A performed op bumps its key's count in place unless the key is
-        the floor or could enter the hot set, through a free slot or by
-        ranking above the floor; only those go through `_count_access`,
-        after which the floor is read again.
+        So is the rank floor, the coldest hot key and its count: (None, 0)
+        while a slot is free, (None, inf) with no slots. A performed op bumps
+        its key's count in place; the hot set moves only when the key is the
+        floor of a full set or, not hot, now ranks above the floor. Then the
+        key enters, the old floor leaves if the set overflows, and the floor
+        is found again once the set is full.
 
         Deterministic in (workload.seed, policy): the arrival schedule is a
         pure function of the spec's fields and the tick count, never of
@@ -544,7 +524,7 @@ class Engine:
         # while a slot is free every key could enter the hot set; with no slots none can
         floor_key, floor_count = None, 0 if slots else math.inf
         begin, commit = self.begin, self.validate_and_commit
-        hot_keys, execute_op, count_access = self.hot_keys, self.execute_op, self._count_access
+        hot_keys, execute_op = self.hot_keys, self.execute_op
         committed = aborted = performed = locked = conflicted = lock_wait = 0
         running: list[Txn] = []
         for tick in range(ticks):
@@ -573,18 +553,18 @@ class Engine:
                         out = execute_op(txn, op, action)
                         status = out.status
                         if status in _PERFORMED:
-                            if key in hot:
-                                count, in_place = counts[key] + 1, key != floor_key
-                            else:
-                                count = counts.get(key, 0) + 1
-                                in_place = (count < floor_count
-                                            or count == floor_count and key > floor_key)
-                            if in_place:
-                                counts[key] = count
-                            else:
-                                count_access(key)
-                                floor_key = self._coldest_hot
+                            count = counts.get(key, 0) + 1
+                            counts[key] = count
+                            # the floor key is set only while the set is full
+                            if key == floor_key or key not in hot and (
+                                    count > floor_count
+                                    or count == floor_count and key < floor_key):
+                                if key not in hot:
+                                    hot.add(key)
+                                    if len(hot) > slots:
+                                        hot.remove(floor_key)
                                 if len(hot) == slots:
+                                    floor_key = self._coldest()
                                     floor_count = counts[floor_key]
                             performed += 1
                             if action is _LOCK:

@@ -3,10 +3,11 @@
 Every config key has one Rule in the table below holding its default, its
 type, its range and whether null is allowed, and one function, _check, applies
 them. A user block is merged over its defaults key by key through those rules,
-then the cross-key checks run once on the merged block: catalog names for
-`optd`; the schema file, the schema, the predicate and the net file for `gate`.
-Every configuration error is therefore a ConfigError raised before a run
-starts, so a bad config can never leave partial side effects behind.
+then the cross-key checks run once on the merged block: catalog names and
+repeated pairs for `optd`; the schema file, the schema, the predicate and
+the net file for `gate`. Every configuration error is therefore a
+ConfigError raised before a run starts, so a bad config can never leave
+partial side effects behind.
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ RULES = {
         "initial_strategy": Rule("prescribed", str,
                                  ("prescribed", "all_lock", "all_optimistic")),
         "thresholds": _mapping({
-            name: Rule(0.5, float, nullable=True) for name in
+            name: Rule(0.5, float, ">= 0", nullable=True) for name in
             ("throughput", "avg_lock_wait", "abort_rate", "contention_index")}),
         "phases": Rule([
             {"windows": 2,
@@ -325,17 +326,25 @@ def _check_optd(params: dict) -> None:
     _require(1.0 in params["factors"], "optd.factors must include 1")
     rels = params["query"]["relations"]
     _require(len(set(rels)) == len(rels), "optd.query.relations must not repeat a name")
+    seen = set()
     for join in params["query"]["joins"]:
         _require(set(join) <= set(rels), f"join {join} must name two query relations")
         _require(join[0] != join[1], f"join {join} must not join a relation to itself")
+        _require(frozenset(join) not in seen,
+                 f"join {join} must not repeat a join, in either order")
+        seen.add(frozenset(join))
     crels = params["catalog"]["relations"]
     for rel in rels:
         _require(rel in crels, f"query relation {rel!r} missing from catalog")
+    seen = set()
     for entry in params["catalog"]["selectivities"]:
         pair = entry["relations"]
         _require(set(pair) <= set(crels),
                  f"selectivity {pair} names a relation missing from catalog")
         _require(pair[0] != pair[1], f"selectivity {pair} must not join a relation to itself")
+        _require(frozenset(pair) not in seen,
+                 f"selectivity {pair} must not repeat a pair, in either order")
+        seen.add(frozenset(pair))
 
 
 def _check_gate(params: dict) -> None:

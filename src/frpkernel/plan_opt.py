@@ -81,6 +81,8 @@ class Catalog:
                 raise ValueError(f"selectivity references unknown relation {pair}")
             if a == b:
                 raise ValueError(f"selectivity {pair} joins a relation to itself")
+            if edge_key(a, b) in sels:
+                raise ValueError(f"selectivity {pair} repeats an edge")
             sels[edge_key(a, b)] = (float(true_sel), float(est_sel))
         object.__setattr__(self, "relations", MappingProxyType(dict(relations)))
         object.__setattr__(self, "selectivities", MappingProxyType(sels))
@@ -97,11 +99,15 @@ class Query:
     def __post_init__(self):
         if len(self.relations) != len(set(self.relations)):
             raise ValueError("duplicate relations in query")
+        edges = set()
         for a, b in self.joins:
             if a not in self.relations or b not in self.relations:
                 raise ValueError(f"join ({a}, {b}) references non-query relation")
             if a == b:
                 raise ValueError(f"join ({a}, {b}) joins a relation to itself")
+            if edge_key(a, b) in edges:
+                raise ValueError(f"join ({a}, {b}) repeats an edge")
+            edges.add(edge_key(a, b))
 
     @property
     def template_id(self) -> str:

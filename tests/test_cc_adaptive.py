@@ -90,6 +90,17 @@ def test_field_appearing_from_zero_trips():
     assert detect_shift(SystemState(), SystemState(throughput=1.0))
 
 
+@pytest.mark.parametrize("name", ["throughput", "avg_lock_wait", "abort_rate",
+                                  "contention_index"])
+def test_thresholds_reject_negative_values(name):
+    # a negative limit is below every relative change, so each window would shift
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match=name):
+            ShiftThresholds(**{name: bad})
+    assert getattr(ShiftThresholds(**{name: 0.0}), name) == 0.0
+    assert getattr(ShiftThresholds(**{name: None}), name) is None
+
+
 # -- strategies and policies --------------------------------------------------
 
 def test_constant_strategy_always_locks():

@@ -345,26 +345,6 @@ def assert_lock_state_matches_scan(eng: Engine, keys) -> None:
             assert eng._conflicts(txn, key) == bool(eng._blockers(txn, key, "X"))
 
 
-# A handful of keys, so counts tie often and hot_key_count can exceed them.
-KEYS = ("a", "b", "c", "d", "e", "f")
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    hot_key_count=st.integers(0, len(KEYS) + 2),
-    windows=st.lists(st.lists(st.sampled_from(KEYS), max_size=60),
-                     min_size=2, max_size=3),
-)
-def test_hot_set_matches_full_sort_after_every_access(hot_key_count, windows):
-    eng = Engine(hot_key_count=hot_key_count)
-    for accesses in windows:
-        eng._reset_access_counts()
-        assert eng.hot_keys() == set()
-        for key in accesses:
-            eng._count_access(key)
-            assert eng.hot_keys() == reference_hot_keys(eng.access_counts, hot_key_count)
-
-
 class CheckedEngine(Engine):
     """Checks the hot set and contention against their full scans at every
     op attempt of a window: contention right after the attempt, the hot set
@@ -375,6 +355,7 @@ class CheckedEngine(Engine):
         self.attempts = self.checks = 0
         stats = super().run_window(workload, policy, duration)
         self.assert_hot_set_matches_sort()
+        assert sum(self.access_counts.values()) == stats.op_count
         assert not self.waits_for
         assert self.checks == self.attempts >= stats.op_count
         return stats
@@ -413,6 +394,14 @@ actions = st.sampled_from((CCAction.LOCK_IMMEDIATE, CCAction.OPTIMISTIC_NO_LOCK)
 @example(hot_key_count=1, workers=2,
          table={(READ, HOT): LOCK, (READ, COLD): OPT, (WRITE, HOT): OPT, (WRITE, COLD): LOCK},
          key_space=2, zipf_theta=0.0, write_frac=0.3, seed=1)
+# no hot slots: every key stays cold
+@example(hot_key_count=0, workers=3,
+         table={(READ, HOT): LOCK, (READ, COLD): OPT, (WRITE, HOT): OPT, (WRITE, COLD): LOCK},
+         key_space=4, zipf_theta=0.8, write_frac=0.3, seed=0)
+# more hot slots than keys: the set never fills, so every key turns hot
+@example(hot_key_count=10, workers=3,
+         table={(READ, HOT): OPT, (READ, COLD): LOCK, (WRITE, HOT): LOCK, (WRITE, COLD): OPT},
+         key_space=4, zipf_theta=0.8, write_frac=0.3, seed=0)
 @settings(max_examples=60, deadline=None)
 @given(
     hot_key_count=st.integers(0, 10),
@@ -437,7 +426,9 @@ def test_windows_keep_hot_set_and_contention_exact(hot_key_count, workers, table
         eng.run_window(spec, policy, duration=25)
 
 
-ops = st.lists(st.tuples(st.sampled_from((READ, WRITE)), st.sampled_from(KEYS[:3])),
+# A handful of keys, so scripted transactions share them often.
+KEYS = ("a", "b", "c")
+ops = st.lists(st.tuples(st.sampled_from((READ, WRITE)), st.sampled_from(KEYS)),
                min_size=1, max_size=4)
 steps = st.lists(st.tuples(st.sampled_from(("begin", "step", "abort")),
                            st.integers(0, 7), actions),
@@ -479,7 +470,7 @@ def test_contended_matches_scan_of_active_buffers(plans, script):
                 eng.validate_and_commit(txn)
         else:
             eng.abort(live[i % len(live)])
-        assert_lock_state_matches_scan(eng, KEYS[:3])
+        assert_lock_state_matches_scan(eng, KEYS)
         # the wait-for graph holds exactly the active txns whose last attempt blocked
         assert set(eng.waits_for) == blocked & set(eng.active)
     for txn in list(eng.active.values()):
@@ -525,44 +516,6 @@ def test_window_schedules_match_pinned_digest():
         "ebbcd94be3bee0193f178e498f8e2b186da173966884be176382680475a3869c")
 
 
-# -- hot-set upkeep -------------------------------------------------------------
-
-class CountSpyEngine(Engine):
-    """Requires of every `_count_access` call that it changes the hot set's
-    membership or its coldest member: the key takes a free slot or displaces
-    the coldest member, or it is the coldest member. Any other access leaves
-    the hot set as it was, so `run_window` must count it in place."""
-
-    def _count_access(self, key):
-        entered, coldest = key not in self._hot, self._coldest_hot
-        super()._count_access(key)
-        entered = entered and key in self._hot
-        assert entered or key == coldest, f"{key!r} counted through _count_access"
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    hot_key_count=st.integers(0, 4),
-    workers=st.integers(1, 8),
-    table=st.sampled_from(TABLES),
-    key_space=st.integers(1, 64),
-    zipf_theta=st.sampled_from((0.0, 0.8, 1.2)),
-    write_frac=st.sampled_from((0.0, 0.3, 0.8)),
-    seed=st.integers(0, 2**16),
-)
-def test_count_access_only_where_the_hot_set_moves(hot_key_count, workers, table,
-                                                  key_space, zipf_theta, write_frac, seed):
-    eng = CountSpyEngine(max_workers=workers, hot_key_count=hot_key_count)
-    policy = lambda kind, heat: table[(kind, heat)]  # noqa: E731
-    for window in range(2):
-        spec = WorkloadSpec(key_space=key_space, zipf_theta=zipf_theta,
-                            write_frac=write_frac, txn_len=3, arrival_rate=3.0,
-                            seed=seed + window)
-        stats = eng.run_window(spec, policy, duration=30)
-        assert eng.hot_keys() == reference_hot_keys(eng.access_counts, hot_key_count)
-        assert sum(eng.access_counts.values()) == stats.op_count
-
-
 # -- window loop oracle ---------------------------------------------------------
 
 class ReferenceEngine(Engine):
@@ -570,7 +523,37 @@ class ReferenceEngine(Engine):
     the locked and optimistic attempts, the perform step, the deadlock
     search, abort and its lock and write-intent release, verbatim but for
     one fix: an optimistic attempt drops the wait-for entry of an op that
-    blocked before."""
+    blocked before. The hot-set upkeep is the engine's as it stood before
+    the window loop kept it inline, verbatim."""
+
+    def _reset_access_counts(self) -> None:
+        self.access_counts: dict[str, int] = {}
+        self._hot: set[str] = set()
+        self._coldest_hot: str | None = None    # lowest-ranked member of _hot
+
+    def _coldest(self) -> str | None:
+        counts = self.access_counts
+        return max(self._hot, key=lambda k: (-counts[k], k), default=None)
+
+    def _count_access(self, key: str) -> None:
+        """Bump `key`'s access count and keep the hot set the top
+        `hot_key_count` keys by (-count, key). Only `key` moves up the
+        ranking, so it either is hot already, takes a free slot, or
+        displaces the coldest member."""
+        count = self.access_counts.get(key, 0) + 1
+        self.access_counts[key] = count
+        hot, coldest = self._hot, self._coldest_hot
+        if key in hot:
+            if key == coldest:
+                self._coldest_hot = self._coldest()
+        elif len(hot) < self.hot_key_count:
+            hot.add(key)
+            if coldest is None or (-count, key) > (-self.access_counts[coldest], coldest):
+                self._coldest_hot = key
+        elif coldest is not None and (-count, key) < (-self.access_counts[coldest], coldest):
+            hot.remove(coldest)
+            hot.add(key)
+            self._coldest_hot = self._coldest()
 
     def validate_and_commit(self, txn):
         if txn.status != ACTIVE:

@@ -333,6 +333,8 @@ NULL_SELECTIVITIES = """optd:
     selectivities: null
 """
 
+# The "true" keys are quoted: bare, YAML reads them as the boolean True, an
+# unknown key that would fail the config before the check under test.
 SELF_JOIN_SELECTIVITY = """optd:
   catalog:
     relations:
@@ -340,7 +342,18 @@ SELF_JOIN_SELECTIVITY = """optd:
       B: {true_rows: 1.0, est_rows: 1.0}
       C: {true_rows: 1.0, est_rows: 1.0}
       D: {true_rows: 1.0, est_rows: 1.0}
-    selectivities: [{relations: [C, C], true: 0.5, est: 0.5}]
+    selectivities: [{relations: [C, C], "true": 0.5, est: 0.5}]
+"""
+
+REPEATED_SELECTIVITY = """optd:
+  catalog:
+    relations:
+      A: {true_rows: 1.0, est_rows: 1.0}
+      B: {true_rows: 1.0, est_rows: 1.0}
+      C: {true_rows: 1.0, est_rows: 1.0}
+      D: {true_rows: 1.0, est_rows: 1.0}
+    selectivities: [{relations: [A, B], "true": 0.5, est: 0.5},
+                    {relations: [B, A], "true": 0.1, est: 0.1}]
 """
 
 # (arguments, config file text or None); {tmp} is the test's directory
@@ -358,6 +371,10 @@ CONFIG_ERRORS = {
     "null selectivities": (["optd"], NULL_SELECTIVITIES),
     "self-join": (["optd"], "optd: {query: {relations: [A, B], joins: [[A, B], [B, B]]}}"),
     "self-join selectivity": (["optd"], SELF_JOIN_SELECTIVITY),
+    "repeated join": (["optd"], "optd: {query: {relations: [A, B, C, D], "
+                                "joins: [[A, B], [B, A], [B, C], [C, D]]}}"),
+    "repeated selectivity": (["optd"], REPEATED_SELECTIVITY),
+    "negative threshold": (["cc-sim"], "cc_sim: {thresholds: {throughput: -1.0}}"),
     "negative hidden_dim": (["gate"], "gate: {hidden_dim: -1}"),
     "negative mutate_cells": (["cc-sim"], "cc_sim: {mutate_cells: -3}"),
     "removed select.workers": (["select"], "select: {workers: 2}"),

@@ -482,6 +482,21 @@ def test_query_rejects_self_join():
         Query(("A", "B"), (("A", "B"), ("A", "A")))
 
 
+def test_query_rejects_repeated_join():
+    # a repeated edge would change the template id and the candidates of
+    # what is the same join graph
+    for repeat in (("A", "B"), ("B", "A")):
+        with pytest.raises(ValueError, match="repeats an edge"):
+            Query(("A", "B", "C"), (("A", "B"), ("B", "C"), repeat))
+
+
+def test_catalog_rejects_repeated_selectivity():
+    # both orders name one edge, so one of the two would be dropped silently
+    with pytest.raises(ValueError, match="repeats an edge"):
+        Catalog({"A": RelStats(10, 10), "B": RelStats(20, 20)},
+                {("A", "B"): (0.01, 0.01), ("B", "A"): (0.02, 0.02)})
+
+
 def test_catalog_rejects_self_join_selectivity():
     with pytest.raises(ValueError):
         Catalog({"A": RelStats(10, 10), "B": RelStats(20, 20)},
@@ -599,9 +614,6 @@ def dp_cases(draw):
         pairs = list(combinations(rels, 2))
         joins = [p for p, keep in zip(pairs, draw(st.lists(
             st.booleans(), min_size=len(pairs), max_size=len(pairs)))) if keep]
-    if joins and draw(st.booleans()):
-        a, b = joins[0]
-        joins.append((b, a))    # a repeated edge: its first sel counts
     rows = st.floats(1.0, 1e6)
     if draw(st.booleans()):
         row = draw(rows)
