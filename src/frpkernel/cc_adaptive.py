@@ -37,7 +37,8 @@ class ShiftThresholds:
     contention_index: float | None = 0.5
 
     def __post_init__(self):
-        # the bounds of the cc_sim.thresholds block of the scenario configs
+        # the only statement of these bounds: a scenario config's
+        # cc_sim.thresholds block is checked by building ShiftThresholds
         for name, limit in vars(self).items():
             if limit is not None and not limit >= 0:
                 raise ValueError(f"{name} must be >= 0 or None, got {limit}")

@@ -187,7 +187,8 @@ class WorkloadSpec:
     seed: int = 0
 
     def __post_init__(self):
-        # the bounds of the workload block of the scenario configs
+        # the only statement of these bounds: a scenario config's workload
+        # block is checked by building its WorkloadSpecs
         for name, ok, bound in (("key_space", self.key_space >= 1, ">= 1"),
                                 ("txn_len", self.txn_len >= 1, ">= 1"),
                                 ("arrival_rate", 0 <= self.arrival_rate < math.inf, "in [0, inf)"),

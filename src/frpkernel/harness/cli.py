@@ -1,9 +1,12 @@
 """Command-line entry point: `frp-kernel <scenario> [--config FILE] ...`.
 
-Exit codes: 0 on success, 2 for usage and configuration errors, 3 for runtime
-failures. Every configuration error, a bad `--net`, `--schema` or predicate
-included, is found before a run starts, so `--validate-only` reports it with
-exit 2 and nothing is written.
+Exit codes: 0 on success, 2 for usage and configuration errors, 3 for any
+other failure, such as one inside a run. A config is checked by its rules
+and then by building every object its run uses (`build_scenario`), and the
+run gets those same objects, so every configuration error, a bad `--net`,
+`--schema` or predicate and a budget too small to plan included, is found
+before a run starts: `--validate-only` reports it with exit 2 and nothing
+is written.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import json
 import sys
 
 from .config import ConfigError, build_scenario_config, load_config_file
-from .drivers import run_scenario
+from .drivers import build_scenario, run_scenario
 from .metrics import summary_text
 
 
@@ -95,17 +98,15 @@ def main(argv=None) -> int:
         raw = load_config_file(args.config) if args.config else {}
         config = build_scenario_config(args.scenario, raw, seed=args.seed,
                                        overrides=overrides)
+        built = build_scenario(config)
+        if args.validate_only:
+            print("config ok")
+            return 0
+        summary = run_scenario(config, built, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-    if args.validate_only:
-        print("config ok")
-        return 0
-
-    try:
-        summary = run_scenario(config, args.out)
-    except Exception as exc:  # runtime failure: structured report, exit 3
+    except Exception as exc:  # any other failure: structured report, exit 3
         report = {"error": type(exc).__name__, "message": str(exc),
                   "scenario": args.scenario}
         print(json.dumps(report, sort_keys=True), file=sys.stderr)

@@ -1,13 +1,16 @@
 """Scenario configuration: YAML loading, defaults, and strict validation.
 
 Every config key has one Rule in the table below holding its default, its
-type, its range and whether null is allowed, and one function, _check, applies
-them. A user block is merged over its defaults key by key through those rules,
-then the cross-key checks run once on the merged block: catalog names and
-repeated pairs for `optd`; the schema file, the schema, the predicate and
-the net file for `gate`. Every configuration error is therefore a
-ConfigError raised before a run starts, so a bad config can never leave
-partial side effects behind.
+type, whether null is allowed, and a range where no object the run builds
+checks it; one function, _check, applies them. A user block is merged over
+its defaults key by key through those rules, and a `gate` schema file
+replaces the block's schema, checked by the same rules. The other bounds
+(a workload's key space, an engine's worker count, a budget that cannot
+pay for one score, a catalog that misses a query relation, a net file that
+does not fit the schema, ...) are stated once, by the library objects the
+run uses: `drivers.build_scenario` builds those objects before the run
+starts and reports what they refuse as a ConfigError, so a bad config can
+never leave partial side effects behind.
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import yaml
-
-from ..gate import GatingNet, Schema, encode_query, parse_predicates
 
 SCENARIOS = ("select", "cc-sim", "recover-demo", "optd", "gate", "full")
 
@@ -69,22 +70,23 @@ def _mapping(fields: dict, default=None) -> Rule:
 
 
 _NAME = Rule(REQUIRED, str)
-_POSITIVE = Rule(REQUIRED, float, "> 0")
+_NUMBER = Rule(REQUIRED, float)
 _PAIR = Rule(REQUIRED, list, "[2, 2]", item=_NAME)
 
+# WorkloadSpec bounds each value
 _WORKLOAD = {
-    "key_space": Rule(16, int, ">= 1"),
+    "key_space": Rule(16, int),
     "zipf_theta": Rule(0.0, float),
-    "write_frac": Rule(0.2, float, "[0, 1]"),
-    "txn_len": Rule(3, int, ">= 1"),
-    "arrival_rate": Rule(3.0, float, ">= 0"),
+    "write_frac": Rule(0.2, float),
+    "txn_len": Rule(3, int),
+    "arrival_rate": Rule(3.0, float),
 }
 
 _GATE_SCHEMA = _mapping({"attributes": Rule(REQUIRED, list, ">= 1", item=_mapping({
     "name": _NAME,
     "kind": Rule(REQUIRED, str, ("categorical", "numeric")),
     "vocabulary": Rule([], list, item=_NAME),
-    "bucket_edges": Rule([], list, item=Rule(REQUIRED, float)),
+    "bucket_edges": Rule([], list, item=_NUMBER),
 }))}, default={
     "attributes": [
         {"name": "gender", "kind": "categorical",
@@ -97,15 +99,17 @@ _GATE_SCHEMA = _mapping({"attributes": Rule(REQUIRED, list, ">= 1", item=_mappin
 })
 
 RULES = {
+    # plan_budget bounds budget, filter_fraction, eta and the two costs, and
+    # ModelSpace bounds space_dims
     "select": _mapping({
-        "budget": Rule(200.0, float, "> 0"),
-        "filter_fraction": Rule(0.2, float, "(0, 1)"),
-        "eta": Rule(2, int, ">= 2"),
-        "space_dims": Rule([4, 4, 4, 4], list, ">= 1", item=Rule(REQUIRED, int, ">= 1")),
+        "budget": Rule(200.0, float),
+        "filter_fraction": Rule(0.2, float),
+        "eta": Rule(2, int),
+        "space_dims": Rule([4, 4, 4, 4], list, item=Rule(REQUIRED, int)),
         "rho": Rule(0.9, float, "[0, 1]"),
         "sigma": Rule(0.1, float, ">= 0"),
-        "score_cost": Rule(1.0, float, "> 0"),
-        "epoch_cost": Rule(1.0, float, "> 0"),
+        "score_cost": Rule(1.0, float),
+        "epoch_cost": Rule(1.0, float),
         "initial_epochs": Rule(1, int, ">= 1"),
         "tau_min": Rule(2.0, float, "> 0"),
         "tau_max": Rule(8.0, float, "> 0"),
@@ -113,12 +117,14 @@ RULES = {
         "oracle": Rule(True, bool),
         "runs": Rule(1, int, ">= 1"),
     }),
+    # Engine bounds workers, hot_keys, lock_overhead and abort_cost, and
+    # ShiftThresholds the thresholds
     "cc_sim": _mapping({
         "window_ticks": Rule(40, int, ">= 1"),
-        "workers": Rule(4, int, ">= 1"),
-        "hot_keys": Rule(3, int, ">= 0"),
-        "lock_overhead": Rule(1, int, ">= 0"),
-        "abort_cost": Rule(4, int, ">= 0"),
+        "workers": Rule(4, int),
+        "hot_keys": Rule(3, int),
+        "lock_overhead": Rule(1, int),
+        "abort_cost": Rule(4, int),
         "buckets": Rule(2, int, ">= 1"),
         "contention_max": Rule(1.0, float, "> 0"),
         "wait_max": Rule(5.0, float, "> 0"),
@@ -131,7 +137,7 @@ RULES = {
         "initial_strategy": Rule("prescribed", str,
                                  ("prescribed", "all_lock", "all_optimistic")),
         "thresholds": _mapping({
-            name: Rule(0.5, float, ">= 0", nullable=True) for name in
+            name: Rule(0.5, float, nullable=True) for name in
             ("throughput", "avg_lock_wait", "abort_rate", "contention_index")}),
         "phases": Rule([
             {"windows": 2,
@@ -143,19 +149,22 @@ RULES = {
         ], list, item=_mapping({"windows": Rule(REQUIRED, int, ">= 0"),
                                 "workload": _mapping(_WORKLOAD)})),
     }),
+    # RedoLog bounds anchor_every, and Engine workers
     "recover_demo": _mapping({
-        "anchor_every": Rule(4, int, ">= 1"),
+        "anchor_every": Rule(4, int),
         "windows": Rule(3, int, ">= 1"),
         "window_ticks": Rule(30, int, ">= 1"),
-        "workers": Rule(4, int, ">= 1"),
+        "workers": Rule(4, int),
         "tamper_keys": Rule(3, int, ">= 0"),
         "workload": _mapping(dict(
             _WORKLOAD, write_frac=_WORKLOAD["write_frac"]._replace(default=0.6))),
     }),
+    # MutationGrid bounds factors; Query the query, Catalog the catalog, and
+    # estimate_vector whether the catalog covers the query
     "optd": _mapping({
         "episodes": Rule(200, int, ">= 0"),
         "n_plans": Rule(20, int, ">= 0"),
-        "factors": Rule([0.1, 0.5, 1.0, 2.0, 10.0], list, ">= 1", item=_POSITIVE),
+        "factors": Rule([0.1, 0.5, 1.0, 2.0, 10.0], list, item=_NUMBER),
         "explore_weight": Rule(2.0, float),
         "latency_noise": Rule(0.05, float, "[0, 1)"),
         "query": _mapping({
@@ -167,9 +176,9 @@ RULES = {
         }),
         "catalog": _mapping({
             "relations": Rule({}, dict, item=_mapping(
-                {"true_rows": _POSITIVE, "est_rows": _POSITIVE})),
+                {"true_rows": _NUMBER, "est_rows": _NUMBER})),
             "selectivities": Rule([], list, item=_mapping(
-                {"relations": _PAIR, "true": _POSITIVE, "est": _POSITIVE})),
+                {"relations": _PAIR, "true": _NUMBER, "est": _NUMBER})),
         }, default={
             "relations": {
                 "A": {"true_rows": 1000.0, "est_rows": 1000.0},
@@ -184,17 +193,19 @@ RULES = {
             ],
         }),
     }),
+    # Schema bounds the schema, the schema the predicate, and GatingNet k_max;
+    # a net file must load and fit the schema
     "gate": _mapping({
         "schema": _GATE_SCHEMA,
         "schema_file": Rule(None, str, nullable=True),
         "net_file": Rule(None, str, nullable=True),
         "n_experts": Rule(6, int, ">= 1"),
-        "k_max": Rule(2, int, ">= 1"),
+        "k_max": Rule(2, int),
         "threshold": Rule(0.05, float, ">= 0"),
         "embed_dim": Rule(8, int, ">= 1"),
         "hidden_dim": Rule(16, int, ">= 1"),
         "predicate": Rule("gender = Male AND age = 24", str),
-        "features": Rule([1.0, -0.5, 2.0, 0.25], list, item=Rule(REQUIRED, float)),
+        "features": Rule([1.0, -0.5, 2.0, 0.25], list, item=_NUMBER),
     }),
 }
 
@@ -315,59 +326,11 @@ def _merged_block(block: str, user: dict | None, overrides: dict | None = None) 
     params = _check(RULES[block], {} if user is None else user, block)
     if overrides:
         params = _check(RULES[block], overrides, block, base=params)
-    if block == "optd":
-        _check_optd(params)
-    elif block == "gate":
-        _check_gate(params)
-    return params
-
-
-def _check_optd(params: dict) -> None:
-    _require(1.0 in params["factors"], "optd.factors must include 1")
-    rels = params["query"]["relations"]
-    _require(len(set(rels)) == len(rels), "optd.query.relations must not repeat a name")
-    seen = set()
-    for join in params["query"]["joins"]:
-        _require(set(join) <= set(rels), f"join {join} must name two query relations")
-        _require(join[0] != join[1], f"join {join} must not join a relation to itself")
-        _require(frozenset(join) not in seen,
-                 f"join {join} must not repeat a join, in either order")
-        seen.add(frozenset(join))
-    crels = params["catalog"]["relations"]
-    for rel in rels:
-        _require(rel in crels, f"query relation {rel!r} missing from catalog")
-    seen = set()
-    for entry in params["catalog"]["selectivities"]:
-        pair = entry["relations"]
-        _require(set(pair) <= set(crels),
-                 f"selectivity {pair} names a relation missing from catalog")
-        _require(pair[0] != pair[1], f"selectivity {pair} must not join a relation to itself")
-        _require(frozenset(pair) not in seen,
-                 f"selectivity {pair} must not repeat a pair, in either order")
-        seen.add(frozenset(pair))
-
-
-def _check_gate(params: dict) -> None:
-    """Build what run_gate builds, so that a bad schema file, schema,
-    predicate or net file is a ConfigError. The schema file's contents
-    replace `schema`, checked by the same rules."""
-    if params["schema_file"] is not None:
+    if block == "gate" and params["schema_file"] is not None:
+        # the file's contents replace `schema`, checked by the same rules
         params["schema"] = _check(_GATE_SCHEMA, _load_yaml(params["schema_file"], "schema"),
                                   "gate.schema_file")
-    try:
-        schema = Schema.from_dict(params["schema"])
-    except ValueError as exc:
-        raise ConfigError(f"bad schema: {exc}") from None
-    try:
-        encode_query(parse_predicates(params["predicate"]), schema)
-    except ValueError as exc:   # UnsupportedQuery
-        raise ConfigError(f"bad predicate: {exc}") from None
-    if params["net_file"] is not None:
-        try:
-            fits = GatingNet.load(params["net_file"]).fits(schema)
-        except Exception as exc:   # a file from outside: any failure to read it
-            raise ConfigError(f"cannot load net file {params['net_file']}: {exc}") from None
-        _require(fits, "net file does not match the schema's width or token count")
+    return params
 
 
 def _require(ok: bool, message: str) -> None:

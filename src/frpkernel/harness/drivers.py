@@ -1,14 +1,21 @@
-"""Scenario drivers: wire the modules together and emit metrics.
+"""Scenario drivers: build each scenario's inputs, run it, and emit metrics.
 
-Each driver consumes a validated parameter block plus the master seed and
+Each scenario has two functions. `build_<scenario>(params, seed)` builds
+the library objects its run uses from a merged parameter block and the
+master seed, and those objects' own checks are the bounds of the block's
+values. `run_<scenario>(params, seed, *built)` runs on what was built and
 returns its metrics rows, a JSON-able summary, and any extra text files to
-persist. All randomness is drawn from streams labeled under the master seed,
-so a full run and a standalone run of the same module produce identical rows.
-File writing happens only in run_scenario, after the driver finished.
+persist. `build_scenario` builds every block a config runs and reports what
+an object refuses as a ConfigError, for `--validate-only` and the run
+alike; `run_scenario` then runs on what it built. All randomness is drawn
+from streams labeled under the master seed, so a full run and a standalone
+run of the same module produce identical rows. File writing happens only in
+run_scenario, after every run finished.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,10 +40,12 @@ from ..gate import (
     sliced_predict,
 )
 from ..model_select import (
+    InfeasibleBudget,
     ModelSpace,
     ProxyScorer,
     Trainer,
     oracle_regret,
+    plan_budget,
     select,
 )
 from ..plan_opt import (
@@ -45,6 +54,7 @@ from ..plan_opt import (
     Query,
     RelStats,
     SelectorState,
+    estimate_vector,
     feedback,
     gen_candidates,
     select_plan,
@@ -52,17 +62,24 @@ from ..plan_opt import (
     true_cost,
 )
 from ..recovery import EnclaveSim, RedoLog
-from .config import BLOCK_OF, ScenarioConfig
+from .config import BLOCK_OF, ConfigError, ScenarioConfig
 from .metrics import MetricsWriter, write_combined_csv, write_summary
 
 
-def run_select(params: dict, seed: int):
-    writer = MetricsWriter("select")
+def build_select(params: dict, seed: int):
     space = ModelSpace(tuple(params["space_dims"]),
                        seed=rnglib.child_seed(seed, "select", "space"),
                        tau_range=(params["tau_min"], params["tau_max"]))
     scorer = ProxyScorer(space, rho=params["rho"], sigma=params["sigma"],
                          cost=params["score_cost"])
+    # the plan every run's `select` makes, so a budget it cannot plan fails here
+    plan_budget(params["budget"], space.size, scorer.cost, params["epoch_cost"],
+                params["eta"], params["filter_fraction"], params["initial_epochs"])
+    return space, scorer
+
+
+def run_select(params: dict, seed: int, space: ModelSpace, scorer: ProxyScorer):
+    writer = MetricsWriter("select")
     runs = []
     slo_met = True
     for i in range(params["runs"]):
@@ -114,8 +131,7 @@ def _strategy_by_name(name: str, buckets: Bucketizer) -> CCStrategy:
     return CCStrategy.constant(CCAction.OPTIMISTIC_NO_LOCK, buckets)
 
 
-def run_cc_sim(params: dict, seed: int):
-    writer = MetricsWriter("cc-sim")
+def build_cc_sim(params: dict, seed: int):
     buckets = Bucketizer(params["buckets"], params["contention_max"],
                          params["wait_max"])
 
@@ -137,17 +153,25 @@ def run_cc_sim(params: dict, seed: int):
         engine_factory=engine_factory,
         cooldown_windows=params["cooldown_windows"],
     )
-    engine = engine_factory()
+    specs, first = [], 0          # each phase's window workloads
+    for phase in params["phases"]:
+        workload = WorkloadSpec(**phase["workload"])   # checked even if no window runs it
+        specs.append([replace(workload, seed=rnglib.child_seed(seed, "cc", "window", first + i))
+                      for i in range(phase["windows"])])
+        first += phase["windows"]
+    return adapter, engine_factory(), specs
 
+
+def run_cc_sim(params: dict, seed: int, adapter: OnlineAdapter, engine: Engine,
+               specs: list[list[WorkloadSpec]]):
+    """`specs` holds each phase's window workloads."""
+    writer = MetricsWriter("cc-sim")
     adaptations = []
     window_index = 0
     phase_throughput = []
-    for phase_no, phase in enumerate(params["phases"]):
+    for phase_no, phase_specs in enumerate(specs):
         throughputs = []
-        for _ in range(phase["windows"]):
-            spec = WorkloadSpec(seed=rnglib.child_seed(seed, "cc", "window",
-                                                       window_index),
-                                **phase["workload"])
+        for spec in phase_specs:
             policy = adapter.next_policy()
             stats = engine.run_window(spec, policy, params["window_ticks"])
             state = observe(stats, params["window_ticks"])
@@ -168,7 +192,7 @@ def run_cc_sim(params: dict, seed: int):
             window_index += 1
         phase_throughput.append({
             "phase": phase_no,
-            "windows": phase["windows"],
+            "windows": len(phase_specs),
             "mean_throughput": (sum(throughputs) / len(throughputs)
                                 if throughputs else 0.0),
         })
@@ -181,15 +205,19 @@ def run_cc_sim(params: dict, seed: int):
     return writer, summary, {}
 
 
-def run_recover_demo(params: dict, seed: int):
-    writer = MetricsWriter("recover-demo")
+def build_recover_demo(params: dict, seed: int):
     enclave = EnclaveSim(seed=rnglib.child_seed(seed, "recover", "enclave"))
     log = RedoLog(enclave, anchor_every=params["anchor_every"])
     engine = Engine(log=log, max_workers=params["workers"])
+    specs = [WorkloadSpec(seed=rnglib.child_seed(seed, "recover", "window", w),
+                          **params["workload"]) for w in range(params["windows"])]
+    return log, engine, specs
 
-    for w in range(params["windows"]):
-        spec = WorkloadSpec(seed=rnglib.child_seed(seed, "recover", "window", w),
-                            **params["workload"])
+
+def run_recover_demo(params: dict, seed: int, log: RedoLog, engine: Engine,
+                     specs: list[WorkloadSpec]):
+    writer = MetricsWriter("recover-demo")
+    for spec in specs:
         engine.run_window(spec, lambda kind, heat: CCAction.LOCK_IMMEDIATE,
                           params["window_ticks"])
 
@@ -218,7 +246,7 @@ def run_recover_demo(params: dict, seed: int):
                         "replay_length": replay, "repaired": clean})
 
     log_text = log.to_text()
-    reloaded = RedoLog.from_text(log_text, enclave)
+    reloaded = RedoLog.from_text(log_text, log.enclave)
     verified = reloaded.verify_log()
     writer.add(len(repairs), "log_verified", verified)
 
@@ -254,18 +282,25 @@ def _build_catalog(cfg: dict) -> Catalog:
     relations = {name: RelStats(stats["true_rows"], stats["est_rows"])
                  for name, stats in cfg["relations"].items()}
     sels = {}
-    for entry in cfg.get("selectivities", []):
-        a, b = entry["relations"]
-        sels[a, b] = (entry["true"], entry["est"])
+    for entry in cfg["selectivities"]:
+        pair = tuple(entry["relations"])
+        if pair in sels:   # Catalog sees one entry per dict key
+            raise ValueError(f"selectivity {pair} repeats an edge")
+        sels[pair] = (entry["true"], entry["est"])
     return Catalog(relations, sels)
 
 
-def run_optd(params: dict, seed: int):
-    writer = MetricsWriter("optd")
+def build_optd(params: dict, seed: int):
     catalog = _build_catalog(params["catalog"])
     query = Query(tuple(params["query"]["relations"]),
-                  tuple(tuple(j) for j in params["query"].get("joins", [])))
-    grid = MutationGrid(tuple(float(f) for f in params["factors"]))
+                  tuple(tuple(j) for j in params["query"]["joins"]))
+    grid = MutationGrid(tuple(params["factors"]))
+    estimate_vector(query, catalog)   # the catalog covers the query, and only its joins
+    return catalog, query, grid
+
+
+def run_optd(params: dict, seed: int, catalog: Catalog, query: Query, grid: MutationGrid):
+    writer = MetricsWriter("optd")
     candidates = gen_candidates(query, catalog, params["n_plans"], grid,
                                 seed=rnglib.child_seed(seed, "optd", "mutate"))
     plan_ids = {plan.key(): i for i, plan in enumerate(candidates)}
@@ -301,19 +336,27 @@ def run_optd(params: dict, seed: int):
     return writer, summary, {}
 
 
-def run_gate(params: dict, seed: int):
-    writer = MetricsWriter("gate")
+def build_gate(params: dict, seed: int):
     schema = Schema.from_dict(params["schema"])
-    if params["net_file"] is not None:
-        net = GatingNet.load(params["net_file"])
-    else:
-        net = GatingNet.random(schema, params["n_experts"],
-                               embed_dim=params["embed_dim"],
-                               hidden_dim=params["hidden_dim"],
-                               k_max=params["k_max"],
-                               threshold=params["threshold"],
-                               seed=rnglib.child_seed(seed, "gate", "net"))
     encoding = encode_query(parse_predicates(params["predicate"]), schema)
+    if params["net_file"] is None:
+        return encoding, GatingNet.random(schema, params["n_experts"],
+                                          embed_dim=params["embed_dim"],
+                                          hidden_dim=params["hidden_dim"],
+                                          k_max=params["k_max"],
+                                          threshold=params["threshold"],
+                                          seed=rnglib.child_seed(seed, "gate", "net"))
+    try:
+        net = GatingNet.load(params["net_file"])
+    except Exception as exc:   # a file from outside: any failure to read it
+        raise ConfigError(f"cannot load net file {params['net_file']}: {exc}") from None
+    if not net.fits(schema):
+        raise ConfigError("net file does not match the schema's width or token count")
+    return encoding, net
+
+
+def run_gate(params: dict, seed: int, encoding: np.ndarray, net: GatingNet):
+    writer = MetricsWriter("gate")
     weights = gate(encoding, net)
     features = np.asarray(params["features"], dtype=float)
     experts = ExpertSet.random_linear(net.n_experts, features.size,
@@ -338,43 +381,56 @@ def run_gate(params: dict, seed: int):
     return writer, summary, {}
 
 
-# also the order in which `full` runs them
+# scenario -> (build, run); also the order in which `full` runs them
 DRIVERS = {
-    "select": run_select,
-    "cc-sim": run_cc_sim,
-    "recover-demo": run_recover_demo,
-    "optd": run_optd,
-    "gate": run_gate,
+    "select": (build_select, run_select),
+    "cc-sim": (build_cc_sim, run_cc_sim),
+    "recover-demo": (build_recover_demo, run_recover_demo),
+    "optd": (build_optd, run_optd),
+    "gate": (build_gate, run_gate),
 }
 
 
-def run_scenario(config: ScenarioConfig, out_dir) -> dict:
-    """Dispatch to the named driver(s) and persist metrics under out_dir."""
-    out = Path(out_dir)
+def _blocks(config: ScenarioConfig) -> list[tuple[str, dict]]:
+    """(scenario, merged block) of each scenario the config runs, in order."""
     if config.scenario == "full":
-        writers, sections, extras = [], {}, {}
-        for name, driver in DRIVERS.items():
-            writer, summary, files = driver(config.full_params[BLOCK_OF[name]], config.seed)
-            writers.append(writer)
-            sections[name] = summary
-            extras.update(files)
-        out.mkdir(parents=True, exist_ok=True)
-        write_combined_csv(out / "full_metrics.csv", writers)
-        summary = {"seed": config.seed, "sections": sections}
-        write_summary(out / "full_summary.json", summary)
-        _write_extras(out, extras)
-        return summary
+        return [(name, config.full_params[BLOCK_OF[name]]) for name in DRIVERS]
+    return [(config.scenario, config.params)]
 
-    writer, summary, extras = DRIVERS[config.scenario](config.params, config.seed)
-    stem = BLOCK_OF[config.scenario]
+
+def build_scenario(config: ScenarioConfig) -> dict:
+    """scenario -> what its build function built, for each scenario the
+    config runs. A value that an object refuses is a ConfigError naming
+    the block."""
+    built = {}
+    for name, params in _blocks(config):
+        try:
+            built[name] = DRIVERS[name][0](params, config.seed)
+        except (ValueError, InfeasibleBudget) as exc:
+            raise ConfigError(f"{BLOCK_OF[name]}: {exc}") from None
+    return built
+
+
+def run_scenario(config: ScenarioConfig, built: dict, out_dir) -> dict:
+    """Run each scenario on what `build_scenario` built for it, then persist
+    the metrics under out_dir."""
+    results = {name: DRIVERS[name][1](params, config.seed, *built[name])
+               for name, params in _blocks(config)}
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    writer.write_csv(out / f"{stem}_metrics.csv")
-    write_summary(out / f"{stem}_summary.json", dict(summary, seed=config.seed))
-    _write_extras(out, extras)
+    if config.scenario == "full":
+        write_combined_csv(out / "full_metrics.csv",
+                           [writer for writer, _, _ in results.values()])
+        summary = {"seed": config.seed,
+                   "sections": {name: section for name, (_, section, _) in results.items()}}
+        write_summary(out / "full_summary.json", summary)
+    else:
+        [(writer, summary, _)] = results.values()
+        stem = BLOCK_OF[config.scenario]
+        writer.write_csv(out / f"{stem}_metrics.csv")
+        write_summary(out / f"{stem}_summary.json", dict(summary, seed=config.seed))
+    for _, _, files in results.values():
+        for name, text in files.items():
+            with open(out / name, "w") as fh:
+                fh.write(text)
     return summary
-
-
-def _write_extras(out: Path, extras: dict[str, str]) -> None:
-    for name, text in extras.items():
-        with open(out / name, "w") as fh:
-            fh.write(text)

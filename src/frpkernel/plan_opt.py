@@ -97,6 +97,8 @@ class Query:
     joins: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
+        if len(self.relations) > 8:   # the DP's O(3^n) split work
+            raise ValueError("queries beyond 8 relations are out of scope")
         if len(self.relations) != len(set(self.relations)):
             raise ValueError("duplicate relations in query")
         edges = set()
@@ -178,9 +180,10 @@ class CardinalityVector:
     """One estimate view: base rows per relation plus selectivity per edge.
 
     Relations are distinct, and each edge is an `edge_key`-form pair of two
-    of them. Costing pairs rows with relations and sels with edges by
-    position and reads only `a < b` edges, so a misaligned, reversed or
-    self-loop entry would be lost or misread without an error."""
+    of them, named once. Costing pairs rows with relations and sels with
+    edges by position and takes each edge as given, so a misaligned,
+    reversed, self-loop or repeated entry would be lost or misread without
+    an error."""
 
     rels: tuple[str, ...]
     rows: tuple[float, ...]
@@ -196,6 +199,8 @@ class CardinalityVector:
         for a, b in self.edges:
             if a >= b or a not in rels or b not in rels:
                 raise ValueError(f"edge {(a, b)} is not an edge_key pair of two relations")
+        if len(set(self.edges)) != len(self.edges):
+            raise ValueError("repeated edge in cardinality vector")
         if not all(v > 0 for v in self.rows + self.sels):
             raise ValueError("cardinality entries must be positive")
 
@@ -212,6 +217,10 @@ def true_vector(query: Query, catalog: Catalog) -> CardinalityVector:
 
 
 def _vector(query: Query, catalog: Catalog, use_true: bool) -> CardinalityVector:
+    """The query's view of the catalog. A catalog selectivity between two
+    query relations that the query does not join is refused: the plans
+    would ignore it, but `true_cost` reads every catalog edge among a
+    plan's leaves."""
     for rel in query.relations:
         if rel not in catalog.relations:
             raise ValueError(f"unknown relation {rel}")
@@ -219,6 +228,10 @@ def _vector(query: Query, catalog: Catalog, use_true: bool) -> CardinalityVector
     rows = tuple(catalog.relations[r].true_rows if use_true
                  else catalog.relations[r].est_rows for r in rels)
     edges = tuple(sorted(edge_key(a, b) for a, b in query.joins))
+    for a, b in sorted(catalog.selectivities.keys() - edges):
+        if a in rels and b in rels:
+            raise ValueError(f"catalog selectivity {(a, b)} is on two query "
+                             "relations the query does not join")
     sels = tuple((catalog.selectivities.get(e, (1.0, 1.0))[0 if use_true else 1])
                  for e in edges)
     return CardinalityVector(rels, rows, edges, sels)
@@ -249,21 +262,18 @@ def _view_factors(rels: list[str], view: CardinalityVector):
     """The card factors of the sorted `rels` under `view` and under every
     view that shares its relations and edges. A factor is a bitmask and a
     column of `view.values()`: each relation's bit and row, in
-    sorted-relation order, then each `edge_key`-form edge among `rels`, its
-    two bits and sel, in sorted-edge order. A repeated edge keeps its first
-    sel. Returns the bit per relation, the factor masks and their columns."""
+    sorted-relation order, then each edge among `rels`, its two bits and
+    sel, in sorted-edge order. Returns the bit per relation, the factor
+    masks and their columns."""
     bits = {rel: 1 << i for i, rel in enumerate(rels)}
     col = {rel: i for i, rel in enumerate(view.rels)}
     if not col.keys() >= bits.keys():
         missing = [rel for rel in rels if rel not in col]
         raise ValueError(f"view has no rows for {missing}")
-    first = {}
-    for j, (a, b) in enumerate(view.edges, start=len(view.rels)):
-        if a < b and a in bits and b in bits:
-            first.setdefault((a, b), j)
-    edges = sorted(first)
-    masks = list(bits.values()) + [bits[a] | bits[b] for a, b in edges]
-    cols = [col[rel] for rel in rels] + [first[edge] for edge in edges]
+    edges = sorted((edge, j) for j, edge in enumerate(view.edges, start=len(view.rels))
+                   if edge[0] in bits and edge[1] in bits)
+    masks = list(bits.values()) + [bits[a] | bits[b] for (a, b), _ in edges]
+    cols = [col[rel] for rel in rels] + [j for _, j in edges]
     return bits, np.array(masks), cols
 
 
@@ -403,18 +413,16 @@ def _optimize(query: Query, view: CardinalityVector, values: np.ndarray) -> list
     for all views at once, level by level in subset size so that every
     proper subset is solved first. Each subset tries every split into two
     sides with both join algorithms and both input orders: O(3^n) split work
-    per view, for at most 8 relations. Numpy costs every split of a level
-    under every view, takes each subset's minimum and marks the join choices
-    that reach it. The winner is the argmin of (cost, canonical plan
-    string). Python finds it lazily, top-down from the full set with one
-    memo per view: a subset with one tied (split, choice) pair takes it,
-    comparing its sides' keys only to orient a hash join (which costs the
-    same both ways round); a subset with several builds each tied pair's key
-    and keeps the least. So only the subsets on a winning tree, and the
+    per view, for at most 8 relations (the cap `Query` sets). Numpy costs
+    every split of a level under every view, takes each subset's minimum and
+    marks the join choices that reach it. The winner is the argmin of (cost,
+    canonical plan string). Python finds it lazily, top-down from the full
+    set with one memo per view: a subset with one tied (split, choice) pair
+    takes it, comparing its sides' keys only to orient a hash join (which
+    costs the same both ways round); a subset with several builds each tied
+    pair's key and keeps the least. So only the subsets on a winning tree, and the
     sides of exact ties, ever get a key. The views share one `Join` per
     distinct sub-plan key, built with that key."""
-    if len(query.relations) > 8:
-        raise ValueError("queries beyond 8 relations are out of scope")
     rels = sorted(query.relations)
     if not rels:
         raise ValueError("empty query")
@@ -514,7 +522,7 @@ def optimize_base(query: Query, catalog: Catalog,
     all of its views at once, so a view gets the same plan either way. The
     result is the argmin of (cost, canonical plan string) over every bushy
     tree with either join algorithm at each node; O(3^n) split work, for at
-    most 8 relations."""
+    most 8 relations (the cap `Query` sets)."""
     if view is None:
         view = estimate_vector(query, catalog)
     return _optimize(query, view, np.array([view.values()], dtype=float))[0]

@@ -4,14 +4,12 @@ Each example takes the defaults of one scenario or a shipped config, mutates
 it at one or two random paths (nested ones included) and runs the CLI
 in-process. `--validate-only` must return 0 or 2 with no exception escaping
 `main`, and the same with and without a `--seed` flag; a config it accepts
-must then run: exit 0, or exit 3 only for an infeasible selection budget,
-which is a runtime outcome.
+must then run with exit 0.
 """
 
 import contextlib
 import copy
 import io
-import json
 import tempfile
 from pathlib import Path
 
@@ -113,7 +111,4 @@ def test_validate_only_is_the_only_config_gate(base, mutations, seed):
         if code == 2:
             return
         code, err = _cli([scenario, "--config", str(path), "--out", str(out)] + seed)
-        if code == 3:
-            assert json.loads(err)["error"] == "InfeasibleBudget", err
-        else:
-            assert code == 0, err
+        assert code == 0, err

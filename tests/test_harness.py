@@ -21,7 +21,7 @@ from frpkernel.harness.config import (
     build_scenario_config,
     load_config_file,
 )
-from frpkernel.harness.drivers import run_scenario
+from frpkernel.harness.drivers import DRIVERS, build_scenario, run_scenario
 
 
 # -- circular buffer ----------------------------------------------------------
@@ -166,21 +166,26 @@ def test_scenario_mismatch_rejected():
         build_scenario_config("select", {"scenario": "optd"})
 
 
+def built(scenario, raw):
+    """What a run of `scenario` under the config mapping `raw` would get."""
+    return build_scenario(build_scenario_config(scenario, raw))
+
+
 def test_value_range_checks():
     with pytest.raises(ConfigError):
-        build_scenario_config("select", {"select": {"filter_fraction": 1.5}})
+        built("select", {"select": {"filter_fraction": 1.5}})
     with pytest.raises(ConfigError):
-        build_scenario_config("cc-sim", {"cc_sim": {"pop_size": 1}})
+        built("cc-sim", {"cc_sim": {"pop_size": 1}})
     with pytest.raises(ConfigError):
-        build_scenario_config("optd", {"optd": {"factors": [0.5, 2.0]}})
+        built("optd", {"optd": {"factors": [0.5, 2.0]}})
     with pytest.raises(ConfigError):
-        build_scenario_config("cc-sim", {"cc_sim": {"thresholds": {"latency": 1.0}}})
+        built("cc-sim", {"cc_sim": {"thresholds": {"latency": 1.0}}})
     for key, value in (("workers", 0), ("hot_keys", -1), ("lock_overhead", -1),
                        ("abort_cost", -1), ("mutate_cells", -1)):
         with pytest.raises(ConfigError):
-            build_scenario_config("cc-sim", {"cc_sim": {key: value}})
-    build_scenario_config("cc-sim", {"cc_sim": {"hot_keys": 0, "lock_overhead": 0,
-                                                "abort_cost": 0, "mutate_cells": 0}})
+            built("cc-sim", {"cc_sim": {key: value}})
+    built("cc-sim", {"cc_sim": {"hot_keys": 0, "lock_overhead": 0,
+                                "abort_cost": 0, "mutate_cells": 0}})
     for scenario, block, key, value in (
             ("recover-demo", "recover_demo", "workers", 0),
             ("recover-demo", "recover_demo", "window_ticks", 0),
@@ -191,8 +196,8 @@ def test_value_range_checks():
             ("gate", "gate", "hidden_dim", -1),
             ("gate", "gate", "schema", {"attributes": []})):
         with pytest.raises(ConfigError):
-            build_scenario_config(scenario, {block: {key: value}})
-    build_scenario_config("optd", {"optd": {"latency_noise": 0.0}})
+            built(scenario, {block: {key: value}})
+    built("optd", {"optd": {"latency_noise": 0.0}})
 
 
 def test_flag_overrides_apply():
@@ -205,7 +210,7 @@ def test_flag_overrides_apply():
 def test_optd_catalog_cross_checks():
     bad = {"optd": {"query": {"relations": ["A", "Z"], "joins": []}}}
     with pytest.raises(ConfigError):
-        build_scenario_config("optd", bad)
+        built("optd", bad)
 
 
 # -- scenarios ---------------------------------------------------------------------
@@ -278,21 +283,21 @@ def test_full_outputs_match_pinned_digests(seed, tmp_path):
 def test_full_concatenates_individual_sections(tmp_path):
     seed = 11
     full_cfg = build_scenario_config("full", {}, seed=seed)
-    run_scenario(full_cfg, tmp_path / "full")
+    run_scenario(full_cfg, build_scenario(full_cfg), tmp_path / "full")
     full_lines = (tmp_path / "full" / "full_metrics.csv").read_text().splitlines()
 
     concatenated = [full_lines[0]]
     for scenario in ("select", "cc-sim", "recover-demo", "optd", "gate"):
         cfg = build_scenario_config(scenario, {}, seed=seed)
         out = tmp_path / scenario
-        run_scenario(cfg, out)
+        run_scenario(cfg, build_scenario(cfg), out)
         stem = scenario.replace("-", "_")
         lines = (out / f"{stem}_metrics.csv").read_text().splitlines()
         concatenated.extend(lines[1:])
     assert full_lines == concatenated
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, monkeypatch):
     missing = tmp_path / "nope.yaml"
     assert main(["select", "--config", str(missing), "--out", str(tmp_path)]) == 2
 
@@ -300,11 +305,20 @@ def test_cli_exit_codes(tmp_path):
     bad.write_text("select: {budget: -3}\n")
     assert main(["select", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
-    # validates but cannot plan: runtime failure
-    assert main(["select", "--budget", "0.5", "--out", str(tmp_path / "r")]) == 3
+    # a budget that cannot plan is found by building the plan: config error
+    assert main(["select", "--budget", "0.5", "--out", str(tmp_path / "b")]) == 2
+    assert not (tmp_path / "b").exists()
+
+    # a run that fails: runtime failure, and nothing is written
+    def failing_run(params, seed, *built):
+        raise RuntimeError("failed inside the run")
+
+    monkeypatch.setitem(DRIVERS, "select", (DRIVERS["select"][0], failing_run))
+    assert main(["select", "--out", str(tmp_path / "r")]) == 3
     assert not (tmp_path / "r").exists()
 
-    # errors found by the cross-key checks (query, schema, schema file) exit 2
+    # errors found by building the query or schema, or reading the schema
+    # file, exit 2
     dup = tmp_path / "dup.yaml"
     dup.write_text("optd: {query: {relations: [A, A], joins: []}}\n")
     assert main(["optd", "--config", str(dup), "--out", str(tmp_path / "d")]) == 2
@@ -356,35 +370,83 @@ REPEATED_SELECTIVITY = """optd:
                     {relations: [B, A], "true": 0.1, est: 0.1}]
 """
 
-# (arguments, config file text or None); {tmp} is the test's directory
+# the same with [A, B] given twice in one order
+ORDERED_PAIR_TWICE = REPEATED_SELECTIVITY.replace("[B, A]", "[A, B]")
+
+# the default query, with a selectivity on [A, D], which it does not join
+UNJOINED_SELECTIVITY = """optd:
+  catalog:
+    relations:
+      A: {true_rows: 1000.0, est_rows: 1000.0}
+      B: {true_rows: 100.0, est_rows: 100.0}
+      C: {true_rows: 100.0, est_rows: 100.0}
+      D: {true_rows: 1000.0, est_rows: 1000.0}
+    selectivities: [{relations: [A, B], "true": 0.01, est: 0.01},
+                    {relations: [B, C], "true": 0.0001, est: 0.0001},
+                    {relations: [C, D], "true": 0.01, est: 0.0001},
+                    {relations: [A, D], "true": 1.0e-6, est: 1.0e-6}]
+"""
+
+NINE_RELATIONS = "optd:\n  query: {relations: [%s]}\n  catalog: {relations: {%s}}\n" % (
+    ", ".join(f"R{i}" for i in range(9)),
+    ", ".join(f"R{i}: {{true_rows: 10.0, est_rows: 10.0}}" for i in range(9)))
+
+# (arguments, config file text or None, a fragment of the error message);
+# {tmp} is the test's directory
 CONFIG_ERRORS = {
-    "missing net": (["gate", "--net", "{tmp}/none.npz"], None),
-    "net width": (["gate", "--net", "{tmp}/two_attrs.npz"], None),
-    "empty net file": (["gate", "--net", "{tmp}/empty.npz"], None),
-    "net with k_max 0": (["gate", "--net", "{tmp}/k_max_0.npz"], None),
-    "bool windows": (["cc-sim"], "cc_sim: {phases: [{windows: true}]}"),
-    "unknown kind": (["gate"], "gate: {schema: {attributes: [{name: a, kind: weird}]}}"),
-    "null schema": (["gate"], "gate: {schema: null}"),
-    "missing schema file": (["gate", "--schema", "{tmp}/none.yaml"], None),
-    "unparsable predicate": (["gate", "--predicate", "age = 24 = 30"], None),
-    "null joins": (["optd"], "optd: {query: {relations: [A, B], joins: null}}"),
-    "null selectivities": (["optd"], NULL_SELECTIVITIES),
-    "self-join": (["optd"], "optd: {query: {relations: [A, B], joins: [[A, B], [B, B]]}}"),
-    "self-join selectivity": (["optd"], SELF_JOIN_SELECTIVITY),
+    "missing net": (["gate", "--net", "{tmp}/none.npz"], None, "cannot load net file"),
+    "net width": (["gate", "--net", "{tmp}/two_attrs.npz"], None,
+                  "net file does not match the schema"),
+    "empty net file": (["gate", "--net", "{tmp}/empty.npz"], None, "cannot load net file"),
+    "net with k_max 0": (["gate", "--net", "{tmp}/k_max_0.npz"], None,
+                         "k_max must be >= 1"),
+    "bool windows": (["cc-sim"], "cc_sim: {phases: [{windows: true}]}",
+                     "cc_sim.phases[0].windows must be an integer"),
+    "unknown kind": (["gate"], "gate: {schema: {attributes: [{name: a, kind: weird}]}}",
+                     "kind must be one of categorical|numeric"),
+    "null schema": (["gate"], "gate: {schema: null}", "gate.schema must not be null"),
+    "missing schema file": (["gate", "--schema", "{tmp}/none.yaml"], None,
+                            "cannot read schema file"),
+    "unparsable predicate": (["gate", "--predicate", "age = 24 = 30"], None,
+                             "age expects a number"),
+    "null joins": (["optd"], "optd: {query: {relations: [A, B], joins: null}}",
+                   "optd.query.joins must not be null"),
+    "null selectivities": (["optd"], NULL_SELECTIVITIES,
+                           "optd.catalog.selectivities must not be null"),
+    "self-join": (["optd"], "optd: {query: {relations: [A, B], joins: [[A, B], [B, B]]}}",
+                  "joins a relation to itself"),
+    "self-join selectivity": (["optd"], SELF_JOIN_SELECTIVITY, "joins a relation to itself"),
     "repeated join": (["optd"], "optd: {query: {relations: [A, B, C, D], "
-                                "joins: [[A, B], [B, A], [B, C], [C, D]]}}"),
-    "repeated selectivity": (["optd"], REPEATED_SELECTIVITY),
-    "negative threshold": (["cc-sim"], "cc_sim: {thresholds: {throughput: -1.0}}"),
-    "negative hidden_dim": (["gate"], "gate: {hidden_dim: -1}"),
-    "negative mutate_cells": (["cc-sim"], "cc_sim: {mutate_cells: -3}"),
-    "removed select.workers": (["select"], "select: {workers: 2}"),
-    "removed select.buffer_capacity": (["select"], "select: {buffer_capacity: 8}"),
+                                "joins: [[A, B], [B, A], [B, C], [C, D]]}}",
+                      "repeats an edge"),
+    "repeated selectivity": (["optd"], REPEATED_SELECTIVITY, "repeats an edge"),
+    "ordered selectivity pair twice": (["optd"], ORDERED_PAIR_TWICE, "repeats an edge"),
+    "unjoined selectivity": (["optd"], UNJOINED_SELECTIVITY,
+                             "the query does not join"),
+    "nine relations": (["optd"], NINE_RELATIONS, "beyond 8 relations"),
+    "negative threshold": (["cc-sim"], "cc_sim: {thresholds: {throughput: -1.0}}",
+                           "throughput must be >= 0"),
+    "no workers": (["cc-sim"], "cc_sim: {workers: 0}", "max_workers must be >= 1, got 0"),
+    "empty key space": (["cc-sim"], "cc_sim: {phases: [{windows: 1, workload: {key_space: 0}}]}",
+                        "key_space must be >= 1, got 0"),
+    "empty key space, no windows": (["cc-sim"], "cc_sim: {phases: [{windows: 0, workload: "
+                                                "{key_space: 0}}]}",
+                                    "key_space must be >= 1, got 0"),
+    "budget too small to plan": (["select", "--budget", "0.5"], None,
+                                 "filter budget cannot pay for one score"),
+    "negative hidden_dim": (["gate"], "gate: {hidden_dim: -1}", "gate.hidden_dim must be >= 1"),
+    "negative mutate_cells": (["cc-sim"], "cc_sim: {mutate_cells: -3}",
+                              "cc_sim.mutate_cells must be >= 0"),
+    "removed select.workers": (["select"], "select: {workers: 2}",
+                               "unknown key select.workers"),
+    "removed select.buffer_capacity": (["select"], "select: {buffer_capacity: 8}",
+                                       "unknown key select.buffer_capacity"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
-def test_config_errors_exit_2_before_running(case, tmp_path):
-    args, text = CONFIG_ERRORS[case]
+def test_config_errors_exit_2_before_running(case, tmp_path, capsys):
+    args, text, fragment = CONFIG_ERRORS[case]
     args = [arg.format(tmp=tmp_path) for arg in args]
     if text is not None:
         (tmp_path / "c.yaml").write_text(text)
@@ -397,9 +459,25 @@ def test_config_errors_exit_2_before_running(case, tmp_path):
     net = dict(np.load(tmp_path / "net.npz"), k_max=np.int64(0))
     np.savez(tmp_path / "k_max_0.npz", **net)
     out = tmp_path / "out"
-    assert main(args + ["--validate-only", "--out", str(out)]) == 2
-    assert main(args + ["--out", str(out)]) == 2
+    for extra in (["--validate-only"], []):
+        assert main(args + extra + ["--out", str(out)]) == 2
+        assert fragment in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_gate_net_file_loaded_once_per_run(tmp_path, monkeypatch):
+    path = str(tmp_path / "net.npz")
+    GatingNet.random(Schema.from_dict(DEFAULTS["gate"]["schema"]), 3).save(path)
+    loads = []
+    load = GatingNet.load
+
+    def spy(file):
+        loads.append(file)
+        return load(file)
+
+    monkeypatch.setattr(GatingNet, "load", spy)
+    assert main(["gate", "--net", path, "--out", str(tmp_path / "out")]) == 0
+    assert loads == [path]
 
 
 def test_budget_whose_score_count_overflows_runs(tmp_path, capsys):

@@ -243,17 +243,36 @@ def test_mutation_multiplies_by_grid_factors():
     (("A", "B"), (100.0, 50.0), (("B", "A"),), (0.01,)),          # not edge_key form
     (("A", "B"), (100.0, 50.0), (("A", "C"),), (0.01,)),          # end outside rels
     (("A", "B"), (100.0, 50.0), (("A", "A"), ("A", "B")), (0.01, 0.01)),  # self-loop
+    (("A", "B"), (100.0, 50.0), (("A", "B"), ("A", "B")), (0.5, 0.01)),   # repeated edge
 ])
 def test_cardinality_vector_rejects_malformed_views(rels, rows, edges, sels):
     # costing reads rows and sels by position, so each of these would drop
     # a row or a selectivity without an error: (A hash B) costs 425.0 under
     # the well-formed view and 5375.0, the cost with no selectivity, under
-    # the short-sel and reversed-edge views; a self-loop's sel is dropped
+    # the short-sel and reversed-edge views; a self-loop's sel is dropped,
+    # and so is a repeated edge's second sel
     plan = Join(Scan("A"), Scan("B"), HASH_JOIN)
     assert plan_cost(plan, CardinalityVector(("A", "B"), (100.0, 50.0),
                                              (("A", "B"),), (0.01,))) == 425.0
     with pytest.raises(ValueError):
         CardinalityVector(rels, rows, edges, sels)
+
+
+def test_selectivity_on_a_pair_the_query_does_not_join_rejected():
+    # the DP reads only the query's joins, but `true_cost` reads every
+    # catalog edge among a plan's leaves: an [A, D] selectivity of 1e-6
+    # would lower every chain candidate's true cost without moving a plan
+    base = chain_catalog()
+    catalog = Catalog(dict(base.relations),
+                      {**base.selectivities, ("A", "D"): (1e-6, 1e-6)})
+    for vector in (estimate_vector, true_vector):
+        with pytest.raises(ValueError, match="does not join"):
+            vector(chain_query(), catalog)
+    # a query without D, or one that joins A and D, reads the catalog as before
+    assert estimate_vector(chain_query("A", "B", "C"), catalog) == \
+        estimate_vector(chain_query("A", "B", "C"), base)
+    cycle = Query(("A", "B", "C", "D"), chain_query().joins + (("D", "A"),))
+    assert true_vector(cycle, catalog).sels == (0.01, 1e-6, 1e-4, 1e-2)
 
 
 def test_mutation_factor_frequencies_uniform():
