@@ -123,6 +123,15 @@ def run_select(params: dict, seed: int, space: ModelSpace, scorer: ProxyScorer):
     return writer, summary, {}
 
 
+def _workload(path: str, fields: dict) -> WorkloadSpec:
+    """The WorkloadSpec of the config mapping at `path`. Its field names are
+    the mapping's keys, so a value it refuses is named by its full path."""
+    try:
+        return WorkloadSpec(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"{path}.{exc}") from None
+
+
 def _strategy_by_name(name: str, buckets: Bucketizer) -> CCStrategy:
     if name == "prescribed":
         return CCStrategy.prescribed(buckets)
@@ -154,8 +163,9 @@ def build_cc_sim(params: dict, seed: int):
         cooldown_windows=params["cooldown_windows"],
     )
     specs, first = [], 0          # each phase's window workloads
-    for phase in params["phases"]:
-        workload = WorkloadSpec(**phase["workload"])   # checked even if no window runs it
+    for number, phase in enumerate(params["phases"]):
+        # checked even if no window runs it
+        workload = _workload(f"cc_sim.phases[{number}].workload", phase["workload"])
         specs.append([replace(workload, seed=rnglib.child_seed(seed, "cc", "window", first + i))
                       for i in range(phase["windows"])])
         first += phase["windows"]
@@ -209,8 +219,9 @@ def build_recover_demo(params: dict, seed: int):
     enclave = EnclaveSim(seed=rnglib.child_seed(seed, "recover", "enclave"))
     log = RedoLog(enclave, anchor_every=params["anchor_every"])
     engine = Engine(log=log, max_workers=params["workers"])
-    specs = [WorkloadSpec(seed=rnglib.child_seed(seed, "recover", "window", w),
-                          **params["workload"]) for w in range(params["windows"])]
+    workload = _workload("recover_demo.workload", params["workload"])
+    specs = [replace(workload, seed=rnglib.child_seed(seed, "recover", "window", w))
+             for w in range(params["windows"])]
     return log, engine, specs
 
 
@@ -401,7 +412,7 @@ def _blocks(config: ScenarioConfig) -> list[tuple[str, dict]]:
 def build_scenario(config: ScenarioConfig) -> dict:
     """scenario -> what its build function built, for each scenario the
     config runs. A value that an object refuses is a ConfigError naming
-    the block."""
+    the block, or the full path of a workload's field."""
     built = {}
     for name, params in _blocks(config):
         try:

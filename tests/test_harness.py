@@ -428,10 +428,12 @@ CONFIG_ERRORS = {
                            "throughput must be >= 0"),
     "no workers": (["cc-sim"], "cc_sim: {workers: 0}", "max_workers must be >= 1, got 0"),
     "empty key space": (["cc-sim"], "cc_sim: {phases: [{windows: 1, workload: {key_space: 0}}]}",
-                        "key_space must be >= 1, got 0"),
-    "empty key space, no windows": (["cc-sim"], "cc_sim: {phases: [{windows: 0, workload: "
-                                                "{key_space: 0}}]}",
-                                    "key_space must be >= 1, got 0"),
+                        "cc_sim.phases[0].workload.key_space must be >= 1, got 0"),
+    "empty key space, no windows": (["cc-sim"], "cc_sim: {phases: [{windows: 1}, {windows: 0, "
+                                                "workload: {key_space: 0}}]}",
+                                    "cc_sim.phases[1].workload.key_space must be >= 1, got 0"),
+    "empty transactions": (["recover-demo"], "recover_demo: {workload: {txn_len: 0}}",
+                           "recover_demo.workload.txn_len must be >= 1, got 0"),
     "budget too small to plan": (["select", "--budget", "0.5"], None,
                                  "filter budget cannot pay for one score"),
     "negative hidden_dim": (["gate"], "gate: {hidden_dim: -1}", "gate.hidden_dim must be >= 1"),
