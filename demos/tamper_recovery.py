@@ -8,7 +8,7 @@ rollback to a stale-but-self-consistent state, and a checksum flip.
 """
 
 from frpkernel.engine import CCAction, Engine, WorkloadSpec, compute_checksum
-from frpkernel.recovery import AnchorEntry, EnclaveSim, RedoEntry, RedoLog, TxnSeal
+from frpkernel.recovery import EnclaveSim, RedoLog
 
 enclave = EnclaveSim(seed=7)
 log = RedoLog(enclave, anchor_every=4)
@@ -20,13 +20,13 @@ for window in range(3):
     engine.run_window(WorkloadSpec(**{**spec.__dict__, "seed": 11 + window}),
                       lambda kind, heat: CCAction.LOCK_IMMEDIATE, 30)
 
-redos = sum(isinstance(rec, RedoEntry) for rec in log.records)
-anchors = sum(isinstance(rec, AnchorEntry) for rec in log.records)
-seals = sum(isinstance(rec, TxnSeal) for rec in log.records)
-print(f"history: {redos} redo entries, {anchors} anchors, {seals} txn seals")
+# each record is its log line, tagged R (redo), A (anchor) or S (seal)
+tags = [line[0] for line in log.records]
+print(f"history: {tags.count('R')} redo entries, {tags.count('A')} anchors, "
+      f"{tags.count('S')} txn seals")
 print("log tail:")
-for rec in log.records[-4:]:
-    print("   ", rec.line()[:100])
+for line in log.records[-4:]:
+    print("   ", line[:100])
 
 victims = sorted(engine.store.records)[:3]
 styles = ["value edit", "version rollback", "checksum flip"]

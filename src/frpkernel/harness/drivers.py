@@ -123,13 +123,18 @@ def run_select(params: dict, seed: int, space: ModelSpace, scorer: ProxyScorer):
     return writer, summary, {}
 
 
-def _workload(path: str, fields: dict) -> WorkloadSpec:
-    """The WorkloadSpec of the config mapping at `path`. Its field names are
-    the mapping's keys, so a value it refuses is named by its full path."""
+def _build(path: str, make, params: dict, *fixed, **args):
+    """`make(*fixed, ...)` given, for each argument in `args`, the value of
+    the config key it names in the mapping `params` at `path`; with no
+    `args`, each key as the argument of its name. A refusal's message starts
+    with the argument's name, so a value `make` refuses is a ConfigError
+    naming its key by its full path."""
+    args = args or {key: key for key in params}
     try:
-        return WorkloadSpec(**fields)
+        return make(*fixed, **{arg: params[key] for arg, key in args.items()})
     except ValueError as exc:
-        raise ConfigError(f"{path}.{exc}") from None
+        arg, _, rest = str(exc).partition(" ")
+        raise ConfigError(f"{path}.{args.get(arg, arg)} {rest}") from None
 
 
 def _strategy_by_name(name: str, buckets: Bucketizer) -> CCStrategy:
@@ -145,14 +150,12 @@ def build_cc_sim(params: dict, seed: int):
                          params["wait_max"])
 
     def engine_factory():
-        return Engine(max_workers=params["workers"],
-                      hot_key_count=params["hot_keys"],
-                      lock_overhead=params["lock_overhead"],
-                      abort_cost=params["abort_cost"])
+        return _build("cc_sim", Engine, params, max_workers="workers", hot_key_count="hot_keys",
+                      lock_overhead="lock_overhead", abort_cost="abort_cost")
 
     adapter = OnlineAdapter(
         strategy=_strategy_by_name(params["initial_strategy"], buckets),
-        thresholds=ShiftThresholds(**params["thresholds"]),
+        thresholds=_build("cc_sim.thresholds", ShiftThresholds, params["thresholds"]),
         pop_size=params["pop_size"],
         cells_to_flip=params["mutate_cells"],
         refine_rounds=params["refine_rounds"],
@@ -165,7 +168,7 @@ def build_cc_sim(params: dict, seed: int):
     specs, first = [], 0          # each phase's window workloads
     for number, phase in enumerate(params["phases"]):
         # checked even if no window runs it
-        workload = _workload(f"cc_sim.phases[{number}].workload", phase["workload"])
+        workload = _build(f"cc_sim.phases[{number}].workload", WorkloadSpec, phase["workload"])
         specs.append([replace(workload, seed=rnglib.child_seed(seed, "cc", "window", first + i))
                       for i in range(phase["windows"])])
         first += phase["windows"]
@@ -217,9 +220,9 @@ def run_cc_sim(params: dict, seed: int, adapter: OnlineAdapter, engine: Engine,
 
 def build_recover_demo(params: dict, seed: int):
     enclave = EnclaveSim(seed=rnglib.child_seed(seed, "recover", "enclave"))
-    log = RedoLog(enclave, anchor_every=params["anchor_every"])
-    engine = Engine(log=log, max_workers=params["workers"])
-    workload = _workload("recover_demo.workload", params["workload"])
+    log = _build("recover_demo", RedoLog, params, enclave, anchor_every="anchor_every")
+    engine = _build("recover_demo", Engine, params, log, max_workers="workers")
+    workload = _build("recover_demo.workload", WorkloadSpec, params["workload"])
     specs = [replace(workload, seed=rnglib.child_seed(seed, "recover", "window", w))
              for w in range(params["windows"])]
     return log, engine, specs

@@ -14,13 +14,13 @@ stored record whose checksum fails, or whose (value, version) disagrees with
 the latest sealed log state, is flagged as tampered and can be rebuilt from
 the most recent anchor.
 
-Each record kind's layout is written once, in `_LAYOUTS`, and every tag's
-matcher, render format and converter are built from it. The log keeps each
-record's canonical line, rendered or loaded once, for seal digests,
-`verify_log` and `to_text`. Append and load build no entry or seal objects:
-a seal is a row of its fields, and `records` decodes the lines on each read.
-A loaded line must match the canonical form exactly, so rendering the record
-it decodes to gives the same line back.
+A record is its canonical line. Each tag's field forms are written once, in
+`_LAYOUTS`, and the tag's matcher, render format and converter are built from
+them. The log keeps each record's line, rendered or loaded once, for seal
+digests, `verify_log`, `to_text` and `records`, which returns the lines by
+lsn; a seal is kept as a row of its fields as well. A loaded line must match
+its tag's canonical form exactly, so rendering its converted fields gives the
+same line back.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import hmac
 import re
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
 
@@ -102,44 +101,14 @@ class EnclaveSim:
         return "EnclaveSim(<key withheld>)"
 
 
-class _Record:
-    def line(self) -> str:      # the canonical line, rendered from the layout
-        return _RENDER[type(self)] % tuple(vars(self).values())
-
-
-@dataclass(frozen=True)
-class RedoEntry(_Record):
-    lsn: int
-    txn_id: int
-    key: str
-    new_value: int
-    mod_index: int
-
-
-@dataclass(frozen=True)
-class AnchorEntry(_Record):
-    lsn: int
-    key: str
-    full_value: int
-    full_version: int
-    mod_index: int
-
-
-@dataclass(frozen=True)
-class TxnSeal(_Record):
-    lsn: int
-    txn_id: int
-    first_lsn: int    # -1/-1 marks a seal over an empty range
-    last_lsn: int
-    digest: str
-    signature: str
-
-
-# each record kind's layout, written once: tag -> (record type, the _FORMS
-# form of each of its fields in order); the tables below are built from it
-_LAYOUTS = {"R": (RedoEntry, "iikii"), "A": (AnchorEntry, "ikiii"), "S": (TxnSeal, "iiiihh")}
+# each record kind's layout, written once: tag -> the _FORMS form of each of
+# its fields in order. R is a redo (lsn, txn id, key, value, mod index), A an
+# anchor (lsn, key, value, version, mod index) and S a seal (lsn, txn id,
+# first lsn, last lsn, digest, signature; -1/-1 marks an empty range). The
+# tables below are built from it.
+_LAYOUTS = {"R": "iikii", "A": "ikiii", "S": "iiiihh"}
 # %-formats: as fast as an f-string, where str.format costs 0.1 µs more a line
-_RENDER = {kind: "|".join([tag] + ["%s"] * len(forms)) for tag, (kind, forms) in _LAYOUTS.items()}
+_RENDER = {tag: "|".join([tag] + ["%s"] * len(forms)) for tag, forms in _LAYOUTS.items()}
 _is_key = re.compile(_FORMS["k"]).fullmatch
 
 
@@ -158,16 +127,7 @@ def _refuse(raw: str):
     raise LogCorrupt(f"unparseable or non-canonical record: {raw!r}")
 
 
-_PARSE = {tag: _parser(tag, forms) for tag, (_, forms) in _LAYOUTS.items()}
-
-
-def _decode(raw: str):
-    """The record whose `line()` is exactly `raw`, or LogCorrupt."""
-    try:
-        fields = _PARSE.get(raw[:1], _refuse)(raw)
-    except ValueError:      # int() refuses more than 4,300 digits
-        raise LogCorrupt(f"not an integer in record: {raw[:80]!r}") from None
-    return _LAYOUTS[raw[0]][0](*fields)
+_PARSE = {tag: _parser(tag, forms) for tag, forms in _LAYOUTS.items()}
 
 
 class RedoLog:
@@ -178,7 +138,7 @@ class RedoLog:
 
     def __init__(self, enclave: EnclaveSim, anchor_every: int = 4):
         if anchor_every < 1:
-            raise ValueError("anchor_every must be >= 1")
+            raise ValueError(f"anchor_every must be >= 1, got {anchor_every}")
         self._enclave = enclave
         self.anchor_every = anchor_every
         self._lines: list[str] = []     # each record's canonical line, by lsn
@@ -191,7 +151,7 @@ class RedoLog:
         self._sealed: set[int] = set()
         self._key_redos: defaultdict[str, list[int]] = defaultdict(list)
         self._key_anchors: defaultdict[str, list[int]] = defaultdict(list)
-        self._seals: list = []      # each seal's TxnSeal fields as a row, in record order
+        self._seals: list = []      # each seal's S fields as a row, in record order
         # derived by _index_seals from the first _indexed seals
         self._indexed = 0
         self._by_first: list = []   # non-empty seals by first_lsn, record order on ties
@@ -207,8 +167,9 @@ class RedoLog:
         self.last_bytes_scanned = 0
 
     @property
-    def records(self) -> tuple:
-        return tuple(map(_decode, self._lines))
+    def records(self) -> tuple[str, ...]:
+        """Each record's canonical line, by lsn."""
+        return tuple(self._lines)
 
     @property
     def enclave(self) -> EnclaveSim:
@@ -230,10 +191,10 @@ class RedoLog:
         mod_index = (latest[1] if latest else 0) + 1
         lsn = len(self._lines)
         redo = (lsn, txn_id, key, new_value, mod_index)
-        self._add_redo(_RENDER[RedoEntry] % redo, redo)
+        self._add_redo(_RENDER["R"] % redo, redo)
         if mod_index % self.anchor_every == 0:
             anchor = (lsn + 1, key, new_value, mod_index, mod_index)
-            self._add_anchor(_RENDER[AnchorEntry] % anchor, anchor, txn_id)
+            self._add_anchor(_RENDER["A"] % anchor, anchor, txn_id)
         return lsn
 
     def seal_txn(self, txn_id: int) -> int:
@@ -251,7 +212,7 @@ class RedoLog:
             first = last = -1
         lsn, digest = len(self._lines), self._range_digest(txn_id, first, last)
         seal = (lsn, txn_id, first, last, digest, self._enclave.sign(digest))
-        self._add_seal(_RENDER[TxnSeal] % seal, seal)
+        self._add_seal(_RENDER["S"] % seal, seal)
         return lsn
 
     def _range_digest(self, txn_id: int, first: int, last: int) -> str:
@@ -438,7 +399,7 @@ class RedoLog:
 
     # -- indexers ------------------------------------------------------------
 
-    def _add_redo(self, line: str, redo: tuple) -> None:   # RedoEntry fields
+    def _add_redo(self, line: str, redo: tuple) -> None:   # an R line's fields
         lsn, txn_id, key, value, mod_index = redo
         self._lines.append(line)
         self._state.append(state := (value, mod_index))
@@ -446,7 +407,7 @@ class RedoLog:
         self._txn_lsns[txn_id].append(lsn)
         self._key_redos[key].append(lsn)
 
-    def _add_anchor(self, line: str, anchor: tuple,     # AnchorEntry fields
+    def _add_anchor(self, line: str, anchor: tuple,     # an A line's fields
                     txn_id) -> None:    # the txn whose range it rides in, or None
         lsn, key, value, version, _ = anchor
         self._lines.append(line)

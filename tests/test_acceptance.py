@@ -50,7 +50,7 @@ from frpkernel.plan_opt import (
     true_cost,
     true_vector,
 )
-from frpkernel.recovery import EnclaveSim, LogCorrupt, RedoEntry, RedoLog
+from frpkernel.recovery import EnclaveSim, LogCorrupt, RedoLog
 from helpers import matches_some_serial_order, r, run_schedule, w
 
 
@@ -249,10 +249,11 @@ def test_criterion_6_recovery():
             engine.run_window(spec, lambda kind, heat: CCAction.LOCK_IMMEDIATE, 20)
             histories += 1
 
-            shadow = {}
-            for rec in log.records:
-                if isinstance(rec, RedoEntry):
-                    shadow[rec.key] = (rec.new_value, rec.mod_index)
+            shadow = {}     # key -> (value, mod index) of its last redo line
+            for line in log.records:
+                if line.startswith("R|"):
+                    _, _, _, key, value, mod_index = line.split("|")
+                    shadow[key] = (int(value), int(mod_index))
             if not shadow:
                 continue
             victim = sorted(shadow)[trial % len(shadow)]

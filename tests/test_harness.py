@@ -425,8 +425,18 @@ CONFIG_ERRORS = {
                              "the query does not join"),
     "nine relations": (["optd"], NINE_RELATIONS, "beyond 8 relations"),
     "negative threshold": (["cc-sim"], "cc_sim: {thresholds: {throughput: -1.0}}",
-                           "throughput must be >= 0"),
-    "no workers": (["cc-sim"], "cc_sim: {workers: 0}", "max_workers must be >= 1, got 0"),
+                           "cc_sim.thresholds.throughput must be >= 0"),
+    "no workers": (["cc-sim"], "cc_sim: {workers: 0}", "cc_sim.workers must be >= 1, got 0"),
+    "negative hot_keys": (["cc-sim"], "cc_sim: {hot_keys: -1}",
+                          "cc_sim.hot_keys must be >= 0, got -1"),
+    "negative lock_overhead": (["cc-sim"], "cc_sim: {lock_overhead: -1}",
+                               "cc_sim.lock_overhead must be >= 0, got -1"),
+    "negative abort_cost": (["cc-sim"], "cc_sim: {abort_cost: -2}",
+                            "cc_sim.abort_cost must be >= 0, got -2"),
+    "no recover_demo workers": (["recover-demo"], "recover_demo: {workers: 0}",
+                                "recover_demo.workers must be >= 1, got 0"),
+    "no anchor interval": (["recover-demo"], "recover_demo: {anchor_every: 0}",
+                           "recover_demo.anchor_every must be >= 1, got 0"),
     "empty key space": (["cc-sim"], "cc_sim: {phases: [{windows: 1, workload: {key_space: 0}}]}",
                         "cc_sim.phases[0].workload.key_space must be >= 1, got 0"),
     "empty key space, no windows": (["cc-sim"], "cc_sim: {phases: [{windows: 1}, {windows: 0, "

@@ -32,7 +32,7 @@ section's constants beside its table:
   text, which every checkout that keeps the log format reproduces, and
   times, in ms: `append_redo` and `seal_txn` into an empty log
   (`append_seal_ms`); `to_text`; `from_text`; reading `records` of a
-  freshly loaded log, which decodes every kept line (`records_ms`);
+  freshly loaded log, which copies its kept lines (`records_ms`);
   `verify_log()` on a freshly loaded log, which knows no seal's verdict yet;
   and `recover` of every written key on another freshly loaded log. The
   repeats go round-robin: each pass times every measurement of every length
